@@ -348,7 +348,9 @@ pub fn parse_frames_traced(blob: &[u8]) -> Result<(u8, obs::TraceCtx, Vec<&[u8]>
     } else {
         (obs::TraceCtx::NONE, 10)
     };
-    let mut chunks = Vec::with_capacity(n);
+    // Every chunk costs at least its 4-byte length: the bytes left bound
+    // the capacity, whatever count the header claims.
+    let mut chunks = Vec::with_capacity(n.min(blob.len().saturating_sub(pos) / 4));
     for _ in 0..n {
         let len = read_u32_le(blob, pos)? as usize;
         pos += 4;
@@ -364,6 +366,14 @@ pub fn parse_frames_traced(blob: &[u8]) -> Result<(u8, obs::TraceCtx, Vec<&[u8]>
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn huge_chunk_count_is_rejected_without_allocating() {
+        // 0x7fff_ffff chunks claimed by a 10-byte blob: sizing the chunk
+        // list from the header alone would ask for ~32 GiB.
+        let blob = b"SKYW\x01\x00\xff\xff\xff\x7f";
+        assert!(matches!(parse_frames(blob), Err(Error::BadFrame(_))));
+    }
 
     #[test]
     fn logical_space_is_gapless_across_flushes() {

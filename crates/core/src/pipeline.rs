@@ -179,7 +179,10 @@ pub struct PipelineReport {
     /// Simulated time the sequential three-phase barrier would have paid
     /// for the same work: produce + whole-payload transfer + absolutize.
     pub sequential_ns: u64,
-    /// Scaled sender traversal CPU time.
+    /// Scaled sender lane time: each lane's cumulative time sampled when
+    /// its chunks became ready (wall time minus channel stalls on the
+    /// pipelined lane, thread CPU time on parallel lanes), summed over
+    /// lanes. Lanes read their clock at chunk boundaries, never per root.
     pub produce_ns: u64,
     /// Wire-occupancy time of all chunks.
     pub wire_ns: u64,
@@ -238,8 +241,8 @@ impl PipelineReport {
     }
 }
 
-/// One chunk in flight: its bytes plus the sender's cumulative traversal
-/// CPU time (unscaled) at the moment the chunk was ready.
+/// One chunk in flight: its bytes plus the sender lane's cumulative time
+/// (unscaled) sampled at the moment the chunk was ready.
 type InFlight = (Vec<u8>, u64);
 
 /// What the sender thread hands back at join: its send statistics plus
@@ -535,7 +538,6 @@ impl PipelineEngine {
                         .with_metrics(Arc::clone(&metrics.registry))
                         .with_pool(Arc::clone(pool))
                         .with_trace(ctx);
-                    let mut produce_ns = 0u64;
                     let mut stall_ns = 0u64;
                     let ship = |chunks: Vec<Vec<u8>>, produce_ns: u64, stall: &mut u64| {
                         for c in chunks {
@@ -569,17 +571,22 @@ impl PipelineEngine {
                         }
                         true
                     };
+                    // The clock is read at lane start, at each chunk
+                    // boundary and at finish — never per root. Produce
+                    // time is the lane's wall time minus its stalls.
+                    let lane0 = Instant::now();
+                    let produced = |stall_ns: u64| {
+                        (lane0.elapsed().as_nanos() as u64).saturating_sub(stall_ns)
+                    };
                     for &root in roots {
-                        let t0 = Instant::now();
                         gs.write_root(root)?;
-                        produce_ns += t0.elapsed().as_nanos() as u64;
-                        if !ship(gs.take_ready_chunks(), produce_ns, &mut stall_ns) {
-                            return Ok((gs.finish().stats, produce_ns, stall_ns));
+                        let chunks = gs.take_ready_chunks();
+                        if !chunks.is_empty() && !ship(chunks, produced(stall_ns), &mut stall_ns) {
+                            return Ok((gs.finish().stats, produced(stall_ns), stall_ns));
                         }
                     }
-                    let t0 = Instant::now();
                     let out = gs.finish();
-                    produce_ns += t0.elapsed().as_nanos() as u64;
+                    let produce_ns = produced(stall_ns);
                     ship(out.chunks, produce_ns, &mut stall_ns);
                     Ok((out.stats, produce_ns, stall_ns))
                 });
@@ -758,7 +765,9 @@ impl PipelineEngine {
     /// Per-worker produce/absorb time is measured on the *thread* CPU
     /// clock ([`obs::thread_cpu_ns`]), not wall time: on a host with
     /// fewer cores than workers, wall time would charge every worker for
-    /// its timeslice waits and inflate the simulated cost N-fold.
+    /// its timeslice waits and inflate the simulated cost N-fold. A
+    /// sender lane reads it at lane start, whenever a chunk becomes ready
+    /// and at finish; an absorber around each chunk and its fixup drain.
     #[allow(clippy::too_many_arguments)]
     fn transfer_parallel(
         &self,
@@ -818,7 +827,6 @@ impl PipelineEngine {
                         let lane = t as u32 + 1;
                         let mut gs: Option<GraphSender<'_>> = None;
                         let mut order: Vec<u32> = Vec::new();
-                        let mut produce_ns = 0u64;
                         let mut stall_ns = 0u64;
                         let mut open = true;
                         let ship = |chunks: Vec<Vec<u8>>, produce_ns: u64, stall: &mut u64| {
@@ -851,6 +859,10 @@ impl PipelineEngine {
                             }
                             true
                         };
+                        // The lane's thread CPU clock is read at lane
+                        // start, at each chunk boundary and at finish —
+                        // never per root.
+                        let lane0 = obs::thread_cpu_ns();
                         loop {
                             let (idx, root) = match steal_set.pop_local(t) {
                                 Some(item) => item,
@@ -888,31 +900,32 @@ impl PipelineEngine {
                                 );
                             }
                             if let Some(s) = gs.as_mut() {
-                                let c0 = obs::thread_cpu_ns();
                                 s.write_root(root)?;
-                                produce_ns += obs::thread_cpu_ns().saturating_sub(c0);
                                 order.push(idx);
-                                if !ship(s.take_ready_chunks(), produce_ns, &mut stall_ns) {
-                                    open = false;
-                                    break;
+                                let chunks = s.take_ready_chunks();
+                                if !chunks.is_empty() {
+                                    let produce_ns = obs::thread_cpu_ns().saturating_sub(lane0);
+                                    if !ship(chunks, produce_ns, &mut stall_ns) {
+                                        open = false;
+                                        break;
+                                    }
                                 }
                             }
                         }
-                        let stats = match gs {
+                        let (stats, produce_raw_ns) = match gs {
                             Some(s) => {
-                                let c0 = obs::thread_cpu_ns();
                                 let out = s.finish();
-                                produce_ns += obs::thread_cpu_ns().saturating_sub(c0);
+                                let produce_ns = obs::thread_cpu_ns().saturating_sub(lane0);
                                 if open {
                                     ship(out.chunks, produce_ns, &mut stall_ns);
                                 }
-                                out.stats
+                                (out.stats, produce_ns)
                             }
                             // Zero roots reached this worker (all stolen
                             // away): no stream, no channel traffic.
-                            None => SendStats::default(),
+                            None => (SendStats::default(), 0),
                         };
-                        Ok(SenderOut { stats, order, produce_raw_ns: produce_ns, stall_ns })
+                        Ok(SenderOut { stats, order, produce_raw_ns, stall_ns })
                     }));
                     absorb_tasks.push(scope.spawn(move || -> Result<AbsorbOut> {
                         let mut sa = StreamAbsorber::new(rvm, dir, dst)

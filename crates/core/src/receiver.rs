@@ -23,6 +23,7 @@
 //! spans, update hooks) back to the coordinator as a [`StreamIn`].
 
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 use std::sync::Arc;
 
 use mheap::layout::mark;
@@ -31,6 +32,7 @@ use simnet::NodeId;
 
 use crate::buffer::{TOP_MARK, TOP_REF};
 use crate::registry::TypeDirectory;
+use crate::sender::AddrHasher;
 use crate::stream::UpdateRegistry;
 use crate::{Error, Result};
 
@@ -42,17 +44,25 @@ struct ChunkMap {
 }
 
 /// Per-tID facts precomputed once per class so the linear absolutization
-/// scan runs at memory speed.
-#[derive(Debug, Clone)]
+/// scan runs at memory speed. `Copy`: the scan takes them by value with one
+/// cache probe per object.
+#[derive(Debug, Clone, Copy)]
 struct TidFacts {
     klass_word: u64,
     kind: KlassKind,
     instance_size: u64,
     elem_size: u64,
-    /// Reference-field offsets (instances).
-    ref_offsets: Vec<u64>,
+    /// Reference-field offsets (instances): the range
+    /// `refs_start..refs_end` of [`AbsorbCore`]'s shared `ref_offsets`.
+    refs_start: u32,
+    refs_end: u32,
     hooked: Option<usize>,
 }
+
+/// tID → facts, keyed by the cheap [`AddrHasher`]. Only tIDs the directory
+/// resolved are inserted, so a hostile stream cannot grow it past the
+/// directory's size.
+type TidMap = HashMap<u32, TidFacts, BuildHasherDefault<AddrHasher>>;
 
 /// Receive statistics.
 #[derive(Debug, Default, Clone, Copy)]
@@ -120,8 +130,9 @@ struct AbsorbCore<'d> {
     node: NodeId,
     chunks: Vec<ChunkMap>,
     next_logical: u64,
-    tid_cache: HashMap<u32, KlassId>,
-    facts_cache: HashMap<u32, TidFacts>,
+    facts_cache: TidMap,
+    /// Reference-field offsets of every resolved class, back to back.
+    ref_offsets: Vec<u64>,
     stats: ReceiveStats,
     metrics: ReceiverMetrics,
     /// Chunks absolutized so far (prefix of `chunks`).
@@ -155,8 +166,8 @@ impl<'d> AbsorbCore<'d> {
             node,
             chunks: Vec::new(),
             next_logical: 0,
-            tid_cache: HashMap::new(),
-            facts_cache: HashMap::new(),
+            facts_cache: TidMap::default(),
+            ref_offsets: Vec::new(),
             stats: ReceiveStats::default(),
             metrics: ReceiverMetrics::new(Arc::clone(obs::global())),
             absorbed: 0,
@@ -176,29 +187,41 @@ impl<'d> AbsorbCore<'d> {
         vm: &Vm,
         tid: u32,
         hooks: Option<&UpdateRegistry>,
-    ) -> Result<&TidFacts> {
-        if !self.facts_cache.contains_key(&tid) {
-            let kid = self.klass_for_tid(vm, tid)?;
-            let k = vm.klasses().get(kid).map_err(Error::Heap)?;
-            let facts = TidFacts {
-                klass_word: u64::from(kid.0),
-                kind: k.kind,
-                instance_size: k.instance_size,
-                elem_size: match k.kind {
-                    KlassKind::Instance => 0,
-                    _ => u64::from(k.elem_size().map_err(Error::Heap)?),
-                },
-                ref_offsets: k
-                    .fields
-                    .iter()
-                    .filter(|f| matches!(f.ty, mheap::FieldType::Ref))
-                    .map(|f| f.offset)
-                    .collect(),
-                hooked: hooks.and_then(|h| h.hook_index(&k.name)),
-            };
-            self.facts_cache.insert(tid, facts);
+    ) -> Result<TidFacts> {
+        match self.facts_cache.get(&tid) {
+            Some(facts) => Ok(*facts),
+            None => self.resolve_tid(vm, tid, hooks),
         }
-        Ok(&self.facts_cache[&tid])
+    }
+
+    /// Resolves and caches the facts of `tid` (once per class per stream).
+    #[cold]
+    fn resolve_tid(
+        &mut self,
+        vm: &Vm,
+        tid: u32,
+        hooks: Option<&UpdateRegistry>,
+    ) -> Result<TidFacts> {
+        let kid = self.klass_for_tid(vm, tid)?;
+        let k = vm.klasses().get(kid).map_err(Error::Heap)?;
+        let refs_start = self.ref_offsets.len() as u32;
+        self.ref_offsets.extend(
+            k.fields.iter().filter(|f| matches!(f.ty, mheap::FieldType::Ref)).map(|f| f.offset),
+        );
+        let facts = TidFacts {
+            klass_word: u64::from(kid.0),
+            kind: k.kind,
+            instance_size: k.instance_size,
+            elem_size: match k.kind {
+                KlassKind::Instance => 0,
+                _ => u64::from(k.elem_size().map_err(Error::Heap)?),
+            },
+            refs_start,
+            refs_end: self.ref_offsets.len() as u32,
+            hooked: hooks.and_then(|h| h.hook_index(&k.name)),
+        };
+        self.facts_cache.insert(tid, facts);
+        Ok(facts)
     }
 
     /// Records a chunk already written at `base` into the chunk map.
@@ -247,9 +270,6 @@ impl<'d> AbsorbCore<'d> {
     }
 
     fn klass_for_tid(&mut self, vm: &Vm, tid: u32) -> Result<KlassId> {
-        if let Some(&k) = self.tid_cache.get(&tid) {
-            return Ok(k);
-        }
         let name = self.dir.name_for_tid_traced(
             self.node,
             tid,
@@ -270,7 +290,6 @@ impl<'d> AbsorbCore<'d> {
         // sender later).
         let k = vm.klasses().get(kid).map_err(Error::Heap)?;
         self.dir.tid_for(self.node, &k)?;
-        self.tid_cache.insert(tid, kid);
         Ok(kid)
     }
 
@@ -338,7 +357,7 @@ impl<'d> AbsorbCore<'d> {
                 if tid_word > u64::from(u32::MAX) {
                     return Err(Error::BadFrame(format!("implausible tID {tid_word:#x}")));
                 }
-                let facts = self.facts_for_tid(vm, tid_word as u32, hooks)?.clone();
+                let facts = self.facts_for_tid(vm, tid_word as u32, hooks)?;
                 vm.heap()
                     .arena()
                     .store_word(at + spec.klass_off(), facts.klass_word)
@@ -380,12 +399,9 @@ impl<'d> AbsorbCore<'d> {
                         }
                     }
                     KlassKind::Instance => {
-                        for i in 0..facts.ref_offsets.len() {
-                            self.absolutize_slot(
-                                vm,
-                                obj,
-                                self.facts_cache[&(tid_word as u32)].ref_offsets[i],
-                            )?;
+                        for i in facts.refs_start..facts.refs_end {
+                            let off = self.ref_offsets[i as usize];
+                            self.absolutize_slot(vm, obj, off)?;
                         }
                     }
                     KlassKind::PrimArray(_) => {}

@@ -121,8 +121,10 @@ pub struct StreamOut {
 
 /// Precomputed per-klass facts the per-object hot path needs; resolving
 /// them once per class (instead of per object) is what keeps the traversal
-/// at copy speed, as the real Skyway's VM-internal send loop is.
-#[derive(Debug, Clone)]
+/// at copy speed, as the real Skyway's VM-internal send loop is. `Copy`, so
+/// the gray queue carries each object's facts from `visit` to
+/// `clone_object` and the klass is looked up once per object.
+#[derive(Debug, Clone, Copy)]
 struct KlassFacts {
     kind: KlassKind,
     tid: u64,
@@ -131,9 +133,21 @@ struct KlassFacts {
     payload_exact: u64,
     /// Receiver-format object size (instances).
     recv_size: u64,
-    /// Sender-format reference-field offsets (instances).
-    ref_offsets: Vec<u64>,
+    /// Sender-format reference-field offsets (instances): the range
+    /// `refs_start..refs_end` of [`GraphSender`]'s shared `ref_offsets`.
+    refs_start: u32,
+    refs_end: u32,
 }
+
+impl KlassFacts {
+    fn ref_count(&self) -> u64 {
+        u64::from(self.refs_end - self.refs_start)
+    }
+}
+
+/// One discovered object awaiting its clone: heap address, assigned
+/// logical address, receiver-format size and klass facts.
+type Gray = (Addr, u64, u64, KlassFacts);
 
 /// Cached observability handles for the sender hot loop: resolved once at
 /// construction so per-object updates are single relaxed atomics.
@@ -160,10 +174,11 @@ impl SenderMetrics {
     }
 }
 
-/// Multiply-mix hasher for heap-address keys (fxhash-style). The visited
+/// Multiply-mix hasher for integer keys (fxhash-style). The visited
 /// fallback table sits on the traversal's hottest path — one lookup per
 /// reference slot plus one insert per object — where SipHash costs more
-/// than the probe itself. Addresses are word-aligned with entropy in the
+/// than the probe itself; the receiver keys its per-tID facts with it for
+/// the same reason. Addresses are word-aligned with entropy in the
 /// middle bits; one odd-constant multiply spreads them adequately.
 #[derive(Debug, Default, Clone)]
 pub struct AddrHasher(u64);
@@ -182,6 +197,10 @@ impl std::hash::Hasher for AddrHasher {
     fn write_u64(&mut self, n: u64) {
         self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
     }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
 }
 
 /// Heap address → logical buffer address, keyed by the cheap [`AddrHasher`].
@@ -198,9 +217,13 @@ pub struct GraphSender<'a> {
     out: OutputBuffer,
     /// Thread-local fallback: heap address → logical buffer address.
     fallback: AddrMap,
-    gray: VecDeque<(Addr, u64, u64)>,
+    gray: VecDeque<Gray>,
     stats: SendStats,
-    klass_facts: HashMap<u32, KlassFacts>,
+    /// Klass facts indexed densely by klass id (ids index the VM's klass
+    /// table, so this is bounded by the classes loaded on the sender).
+    klass_facts: Vec<Option<KlassFacts>>,
+    /// Reference-field offsets of every resolved klass, back to back.
+    ref_offsets: Vec<u64>,
     metrics: SenderMetrics,
     /// Trace context of the transfer this stream belongs to
     /// ([`obs::TraceCtx::NONE`] keeps every span inert).
@@ -265,7 +288,8 @@ impl<'a> GraphSender<'a> {
             fallback: AddrMap::default(),
             gray: VecDeque::new(),
             stats: SendStats::default(),
-            klass_facts: HashMap::new(),
+            klass_facts: Vec::new(),
+            ref_offsets: Vec::new(),
             metrics: SenderMetrics::new(Arc::clone(obs::global())),
             trace_ctx: obs::TraceCtx::NONE,
             lane: 0,
@@ -311,42 +335,54 @@ impl<'a> GraphSender<'a> {
         self
     }
 
-    /// Resolves (and caches) the per-klass facts for the klass word of
-    /// `obj`.
-    fn facts_for(&mut self, obj: Addr) -> Result<&KlassFacts> {
+    /// The per-klass facts for the klass word of `obj`: one heap load and
+    /// one dense index on the hot path.
+    fn facts_for(&mut self, obj: Addr) -> Result<KlassFacts> {
         let kw = self
             .vm
             .heap()
             .arena()
             .load_word(obj.0 + self.vm.spec().klass_off())
             .map_err(Error::Heap)? as u32;
-        if !self.klass_facts.contains_key(&kw) {
-            let k = self.vm.klasses().get(mheap::KlassId(kw)).map_err(Error::Heap)?;
-            let hdr = self.vm.spec().instance_header();
-            let payload_exact =
-                k.fields.iter().map(|f| f.offset + u64::from(f.ty.size())).max().unwrap_or(hdr)
-                    - hdr;
-            let facts = KlassFacts {
-                kind: k.kind,
-                tid: u64::from(self.dir.tid_for(self.node, &k)?),
-                elem_size: match k.kind {
-                    KlassKind::Instance => 0,
-                    _ => u64::from(k.elem_size().map_err(Error::Heap)?),
-                },
-                payload_exact,
-                recv_size: mheap::layout::align8(
-                    self.cfg.receiver_spec.instance_header() + payload_exact,
-                ),
-                ref_offsets: k
-                    .fields
-                    .iter()
-                    .filter(|f| matches!(f.ty, mheap::FieldType::Ref))
-                    .map(|f| f.offset)
-                    .collect(),
-            };
-            self.klass_facts.insert(kw, facts);
+        match self.klass_facts.get(kw as usize) {
+            Some(Some(facts)) => Ok(*facts),
+            _ => self.resolve_facts(kw),
         }
-        Ok(&self.klass_facts[&kw])
+    }
+
+    /// Resolves and caches the facts of klass `kw` (once per class).
+    #[cold]
+    fn resolve_facts(&mut self, kw: u32) -> Result<KlassFacts> {
+        let k = self.vm.klasses().get(mheap::KlassId(kw)).map_err(Error::Heap)?;
+        let hdr = self.vm.spec().instance_header();
+        let payload_exact =
+            k.fields.iter().map(|f| f.offset + u64::from(f.ty.size())).max().unwrap_or(hdr) - hdr;
+        let refs_start = self.ref_offsets.len() as u32;
+        self.ref_offsets.extend(
+            k.fields.iter().filter(|f| matches!(f.ty, mheap::FieldType::Ref)).map(|f| f.offset),
+        );
+        let facts = KlassFacts {
+            kind: k.kind,
+            tid: u64::from(self.dir.tid_for(self.node, &k)?),
+            elem_size: match k.kind {
+                KlassKind::Instance => 0,
+                _ => u64::from(k.elem_size().map_err(Error::Heap)?),
+            },
+            payload_exact,
+            recv_size: mheap::layout::align8(
+                self.cfg.receiver_spec.instance_header() + payload_exact,
+            ),
+            refs_start,
+            refs_end: self.ref_offsets.len() as u32,
+        };
+        // `kw` indexes the klass table (`get` succeeded), so the dense
+        // vector grows at most to the number of loaded classes.
+        let idx = kw as usize;
+        if self.klass_facts.len() <= idx {
+            self.klass_facts.resize(idx + 1, None);
+        }
+        self.klass_facts[idx] = Some(facts);
+        Ok(facts)
     }
 
     /// The logical position already assigned to `obj` in this phase, if
@@ -427,17 +463,25 @@ impl<'a> GraphSender<'a> {
     }
 
     /// Object size *in the receiver's format* (facts precomputed).
-    fn size_recv(&mut self, obj: Addr) -> Result<u64> {
-        let facts = self.facts_for(obj)?;
+    fn size_recv(&self, obj: Addr, facts: &KlassFacts) -> Result<u64> {
         match facts.kind {
             KlassKind::Instance => Ok(facts.recv_size),
             _ => {
-                let es = facts.elem_size;
                 let hdr = self.cfg.receiver_spec.array_header();
                 let len = self.vm.array_len(obj).map_err(Error::Heap)?;
-                Ok(mheap::layout::align8(hdr + len * es))
+                Ok(mheap::layout::align8(hdr + len * facts.elem_size))
             }
         }
+    }
+
+    /// Assigns `obj` its logical address and queues it for cloning.
+    fn enqueue(&mut self, obj: Addr) -> Result<u64> {
+        let facts = self.facts_for(obj)?;
+        let size = self.size_recv(obj, &facts)?;
+        let logical = self.out.assign(size);
+        self.claim(obj, logical)?;
+        self.gray.push_back((obj, logical, size, facts));
+        Ok(logical)
     }
 
     /// Visits a referee: returns its logical address, enqueuing it for
@@ -446,21 +490,16 @@ impl<'a> GraphSender<'a> {
         if let Some(rel) = self.lookup_visited(obj)? {
             return Ok(rel);
         }
-        let size = self.size_recv(obj)?;
-        let logical = self.out.assign(size);
-        self.claim(obj, logical)?;
-        self.gray.push_back((obj, logical, size));
-        Ok(logical)
+        self.enqueue(obj)
     }
 
     /// Clones one object into the buffer at its assigned logical address,
     /// adjusting headers and relativizing references (Algorithm 2 lines
     /// 10–27).
-    fn clone_object(&mut self, obj: Addr, logical: u64, size: u64) -> Result<()> {
+    fn clone_object(&mut self, (obj, logical, size, facts): Gray) -> Result<()> {
         self.out.place(logical, size)?;
         self.stats.objects += 1;
         self.metrics.objects.inc();
-        let facts = self.facts_for(obj)?.clone();
         let sspec = self.vm.spec();
         let rspec = self.cfg.receiver_spec;
         let arena = self.vm.heap().arena();
@@ -487,7 +526,8 @@ impl<'a> GraphSender<'a> {
                 }
                 // Relativize reference slots within the clone.
                 let shdr = sspec.instance_header();
-                for &off in &facts.ref_offsets {
+                for i in facts.refs_start..facts.refs_end {
+                    let off = self.ref_offsets[i as usize];
                     self.stats.pointer_bytes += 8;
                     let tgt = Addr::from_raw(
                         self.vm.heap().arena().load_word(obj.raw() + off).map_err(Error::Heap)?,
@@ -500,7 +540,7 @@ impl<'a> GraphSender<'a> {
                         self.out.write_word(slot, rel + 1)?;
                     }
                 }
-                self.stats.data_bytes += payload - 8 * facts.ref_offsets.len() as u64;
+                self.stats.data_bytes += payload - 8 * facts.ref_count();
             }
             KlassKind::PrimArray(p) => {
                 let len = self.vm.array_len(obj).map_err(Error::Heap)?;
@@ -613,12 +653,9 @@ impl<'a> GraphSender<'a> {
         let at = self.out.emit(8)?;
         self.out.write_word(at, TOP_MARK)?;
         self.stats.marker_bytes += 8;
-        let size = self.size_recv(root)?;
-        let logical = self.out.assign(size);
-        self.claim(root, logical)?;
-        self.gray.push_back((root, logical, size));
-        while let Some((obj, logical, size)) = self.gray.pop_front() {
-            self.clone_object(obj, logical, size)?;
+        self.enqueue(root)?;
+        while let Some(gray) = self.gray.pop_front() {
+            self.clone_object(gray)?;
         }
         Ok(())
     }
@@ -665,14 +702,11 @@ impl<'a> GraphSender<'a> {
             if root.is_null() {
                 return Ok(None);
             }
-            let flat = {
-                let facts = self.facts_for(root)?;
-                facts.ref_offsets.is_empty() && !matches!(facts.kind, KlassKind::RefArray)
-            };
-            if !flat {
+            let facts = self.facts_for(root)?;
+            if facts.ref_count() > 0 || matches!(facts.kind, KlassKind::RefArray) {
                 return Ok(None);
             }
-            total += 8 + self.size_recv(root)?;
+            total += 8 + self.size_recv(root, &facts)?;
             if total > cap {
                 return Ok(None);
             }

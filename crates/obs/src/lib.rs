@@ -349,7 +349,12 @@ pub fn global() -> &'static Arc<Registry> {
 /// instead of wall clock: on a host with fewer cores than workers, wall
 /// time charges every worker for its siblings' timeslices and inflates
 /// per-lane cost by roughly the oversubscription factor, while thread
-/// CPU time stays honest. Falls back to a thread-local monotonic clock
+/// CPU time stays honest.
+///
+/// This is a real `clock_gettime` syscall with no vDSO fast path, about
+/// 0.3 µs per call on a 2-vCPU x86-64 VM — as costly as cloning several
+/// small objects. Call it per chunk or per transfer, never per root or
+/// per object. Falls back to a thread-local monotonic clock
 /// where the per-thread clock is unavailable.
 pub fn thread_cpu_ns() -> u64 {
     #[cfg(all(target_os = "linux", target_arch = "x86_64"))]

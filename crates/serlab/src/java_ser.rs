@@ -102,7 +102,8 @@ impl Serializer for JavaSerializer {
         let n_roots = r.varint()? as usize;
         let mut arena = RebuildArena::new(vm);
         let mut st = ReadState::default();
-        let mut root_ids = Vec::with_capacity(n_roots);
+        // The count comes off the wire; each root takes at least a byte.
+        let mut root_ids = Vec::with_capacity(n_roots.min(r.remaining()));
         for _ in 0..n_roots {
             let id = read_object(vm, &mut r, &mut arena, &mut st, profile, 0)?;
             root_ids.push(id);

@@ -379,7 +379,8 @@ impl Serializer for KryoSerializer {
         let mut r = ByteReader::new(bytes);
         let n_roots = r.varint()? as usize;
         let mut arena = RebuildArena::new(vm);
-        let mut root_ids = Vec::with_capacity(n_roots);
+        // The count comes off the wire; each root takes at least a byte.
+        let mut root_ids = Vec::with_capacity(n_roots.min(r.remaining()));
         let mut seen: Vec<usize> = Vec::new();
         for _ in 0..n_roots {
             seen.clear();

@@ -436,7 +436,8 @@ impl Serializer for SchemaSerializer {
         }
         let n_roots = r.varint()? as usize;
         let mut arena = RebuildArena::new(vm);
-        let mut root_ids = Vec::with_capacity(n_roots);
+        // The count comes off the wire; each root takes at least a byte.
+        let mut root_ids = Vec::with_capacity(n_roots.min(r.remaining()));
         for _ in 0..n_roots {
             let id = self
                 .read_object(vm, &mut r, &mut arena, profile, 0)?
