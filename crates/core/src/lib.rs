@@ -119,6 +119,8 @@ pub enum Error {
     BadFrame(String),
     /// A relativized reference pointed outside every received chunk.
     DanglingRelativeAddr(u64),
+    /// A relativized reference was off the 8-byte grid objects start on.
+    MisalignedRelativeAddr(u64),
     /// Sender and receiver object formats disagree.
     SpecMismatch {
         /// Format tagged in the stream.
@@ -152,6 +154,9 @@ impl std::fmt::Display for Error {
             Error::BadFrame(s) => write!(f, "bad transfer frame: {s}"),
             Error::DanglingRelativeAddr(a) => {
                 write!(f, "relative address {a} outside every received chunk")
+            }
+            Error::MisalignedRelativeAddr(a) => {
+                write!(f, "relative address {a} is not 8-byte aligned")
             }
             Error::SpecMismatch { wire, local } => {
                 write!(f, "object format mismatch: stream {wire} vs local {local}")

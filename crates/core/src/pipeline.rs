@@ -1,18 +1,32 @@
-//! Chunk-granularity pipelined shuffle engine.
+//! The transfer engine: one N-lane run moves an object graph heap to heap.
 //!
 //! The sequential path (`SkywaySerializer::serialize` → transport →
 //! `deserialize`) is a strict three-phase barrier: build every chunk, move
 //! every chunk, then absolutize everything in one pass — paying
-//! sum-of-phases wall-clock. This module overlaps the phases at chunk
-//! granularity: a sender thread walks the object graph and flushes chunks
-//! into a bounded channel while the receiving thread places and absolutizes
-//! each chunk as it arrives, so chunk *N* is being absolutized while chunk
-//! *N+1* is in flight and chunk *N+2* is still being cloned out of the
-//! sender heap (paper §4.3 streams output buffers the same way).
+//! sum-of-phases wall-clock. This engine overlaps the phases at chunk
+//! granularity, the way each Skyway sending thread streams its own output
+//! buffers and the receiver absorbs each stream as it arrives (paper
+//! §4.2–4.3): a sender *lane* walks its share of the roots and flushes
+//! chunks into its own bounded channel while that lane's absorber places
+//! and absolutizes each chunk as it arrives, so chunk *N* is being
+//! absolutized while chunk *N+1* is in flight and chunk *N+2* is still
+//! being cloned out of the sender heap.
 //!
-//! The channel bound provides backpressure: a slow receiver stalls the
+//! The mode policy only chooses how many lanes a transfer gets, and one
+//! run executes every choice:
+//!
+//! * [`TransferMode::Inline`] — a flat graph that provably fits one chunk
+//!   is produced, moved and absorbed on the calling thread (nothing to
+//!   overlap, so no lanes at all);
+//! * [`TransferMode::Parallel`] — with [`PipelineConfig::parallel`] set
+//!   and enough roots, `workers` work-stealing lanes;
+//! * [`TransferMode::Pipelined`] — every other transfer: the one-lane run.
+//!
+//! One scheduler turns every mode's measurements into simulated time.
+//!
+//! The channel bound provides backpressure: a slow absorber stalls its
 //! sender instead of letting chunks pile up unboundedly. Chunk backings
-//! come from a [`ChunkPool`] shared by sender (acquire) and receiver
+//! come from a [`ChunkPool`] shared by senders (acquire) and absorbers
 //! (release), so steady-state transfer performs zero per-chunk heap
 //! allocations.
 //!
@@ -21,7 +35,7 @@
 //! schedule and the sequential sum are reported so benchmarks can compare
 //! like for like.
 
-use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Instant;
@@ -32,29 +46,23 @@ use simnet::{Cluster, LinkClock, NodeId, SimConfig};
 use crate::buffer::ChunkPool;
 use crate::receiver::{GraphReceiver, ReceiveStats, StreamAbsorber, StreamIn};
 use crate::registry::TypeDirectory;
-use crate::sender::{GraphSender, ParallelConfig, SendConfig, SendStats, StealSet, Tracking};
+use crate::sender::{GraphSender, ParallelConfig, SendConfig, SendStats, StealSet};
 use crate::stream::UpdateRegistry;
 use crate::{Error, Result};
 
-/// One parallel stream's chunk timeline — `(ready_raw_ns, bytes,
-/// absorb_raw_ns)` per chunk in stream order — plus that stream's fixup
-/// CPU time, as fed to the shared-link schedule.
+/// One lane's chunk timeline — `(ready_raw_ns, bytes, absorb_raw_ns)` per
+/// chunk in stream order — plus that lane's fixup CPU time, as fed to the
+/// shared-link schedule.
 type StreamTimeline<'a> = (&'a [(u64, u64, u64)], u64);
 
-/// Default flush threshold for pipelined transfer. Much smaller than the
-/// sequential default (1 MiB): the pipeline's overlap window is one chunk,
-/// so finer chunks mean earlier first-byte and smoother overlap, at the
-/// cost of per-chunk bookkeeping the pool keeps negligible.
+/// Default flush threshold for engine transfers. Much smaller than the
+/// sequential default (1 MiB): a lane's overlap window is one chunk, so
+/// finer chunks mean earlier first-byte and smoother overlap, at the cost
+/// of per-chunk bookkeeping the pool keeps negligible.
 pub const DEFAULT_PIPELINE_CHUNK: usize = 64 << 10;
 
-/// Default bound of the in-flight chunk channel.
+/// Default bound of a lane's in-flight chunk channel.
 pub const DEFAULT_DEPTH: usize = 4;
-
-/// Adaptive chunk-sizing floor.
-pub const MIN_ADAPTIVE_CHUNK: usize = 16 << 10;
-
-/// Adaptive chunk-sizing ceiling.
-pub const MAX_ADAPTIVE_CHUNK: usize = 1 << 20;
 
 /// Which execution strategy a transfer took.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,9 +70,9 @@ pub enum TransferMode {
     /// Flat single-chunk graph: produce, move, absorb inline on the
     /// calling thread — nothing to overlap.
     Inline,
-    /// One sender thread overlapped with absorption on the calling thread.
+    /// One lane: a sender thread overlapped with its absorber.
     Pipelined,
-    /// N work-stealing traversal workers, each streaming to its own
+    /// N work-stealing sender lanes, each streaming to its own
     /// concurrent absorber over the shared receiving heap.
     Parallel,
     /// Same-node zero-copy: the graph was sealed into (or already lived
@@ -86,31 +94,24 @@ impl TransferMode {
     }
 }
 
-/// Configuration of the pipelined engine.
+/// Configuration of the transfer engine. The sender's visited tracking is
+/// not configured: it follows the sender heap's format (`baddr` when the
+/// heap carries the word, the hash table otherwise).
 #[derive(Debug, Clone, Copy)]
 pub struct PipelineConfig {
-    /// Flush threshold of the sender's output buffer in bytes.
+    /// Flush threshold of every lane's output buffer in bytes; a flat graph
+    /// that fits one chunk of this size runs inline.
     pub chunk_limit: usize,
-    /// Maximum chunks in flight between sender and receiver (channel
-    /// bound; the backpressure window). Parallel mode applies it per
-    /// worker pair.
+    /// Maximum chunks in flight between a lane's sender and its absorber
+    /// (the per-lane channel bound; the backpressure window).
     pub depth: usize,
-    /// Visited-tracking mode for the sender; `None` picks `Baddr` when the
-    /// sender heap carries the word, `HashTable` otherwise.
-    pub tracking: Option<Tracking>,
     /// Cost-model parameters for the simulated-time schedule.
     pub sim: SimConfig,
-    /// Opt-in parallel mode: with `Some(par)` the engine runs
-    /// `par.workers` work-stealing sender workers, each feeding its own
-    /// absorber, whenever `roots >= workers * min_roots_per_worker` (and
-    /// the graph is not a flat single chunk). `None` keeps the classic
-    /// single-sender pipeline.
+    /// Lane policy. With `Some(par)`, a transfer of at least
+    /// `par.workers * par.min_roots_per_worker` roots that is not a flat
+    /// single chunk runs `par.workers` work-stealing lanes. Every other
+    /// threaded transfer — and every one under `None` — runs one lane.
     pub parallel: Option<ParallelConfig>,
-    /// Adapt `chunk_limit` between transfers from the observed stalls:
-    /// grow (×2, up to [`MAX_ADAPTIVE_CHUNK`]) while sender stalls
-    /// dominate, shrink (÷2, down to [`MIN_ADAPTIVE_CHUNK`]) while
-    /// receiver stalls dominate.
-    pub adaptive_chunking: bool,
 }
 
 impl Default for PipelineConfig {
@@ -118,10 +119,8 @@ impl Default for PipelineConfig {
         PipelineConfig {
             chunk_limit: DEFAULT_PIPELINE_CHUNK,
             depth: DEFAULT_DEPTH,
-            tracking: None,
             sim: SimConfig::default(),
             parallel: None,
-            adaptive_chunking: false,
         }
     }
 }
@@ -138,7 +137,6 @@ struct PipelineMetrics {
     mode_inline: Arc<obs::Counter>,
     mode_pipelined: Arc<obs::Counter>,
     mode_parallel: Arc<obs::Counter>,
-    chunk_limit: Arc<obs::Gauge>,
     steals: Arc<obs::Counter>,
 }
 
@@ -153,14 +151,13 @@ impl PipelineMetrics {
             mode_inline: registry.counter(obs::names::PIPELINE_MODE_INLINE),
             mode_pipelined: registry.counter(obs::names::PIPELINE_MODE_PIPELINED),
             mode_parallel: registry.counter(obs::names::PIPELINE_MODE_PARALLEL),
-            chunk_limit: registry.gauge(obs::names::PIPELINE_CHUNK_LIMIT),
             steals: registry.counter(obs::names::SENDER_STEALS),
             registry,
         }
     }
 }
 
-/// What one pipelined transfer did and what it would have cost.
+/// What one engine transfer did and what it would have cost.
 ///
 /// All `*_ns` figures are *simulated* nanoseconds on the [`SimConfig`]
 /// timeline: measured CPU time scaled by `sd_cpu_scale` (the same
@@ -172,25 +169,25 @@ pub struct PipelineReport {
     pub send_stats: SendStats,
     /// Receiver-side statistics (identical to the sequential path's).
     pub recv_stats: ReceiveStats,
-    /// Per-chunk wire sizes, in stream order.
+    /// Per-chunk wire sizes, in scheduled link order.
     pub chunk_bytes: Vec<u64>,
     /// End-to-end simulated time of the overlapped schedule.
     pub pipelined_ns: u64,
     /// Simulated time the sequential three-phase barrier would have paid
     /// for the same work: produce + whole-payload transfer + absolutize.
     pub sequential_ns: u64,
-    /// Scaled sender lane time: each lane's cumulative time sampled when
-    /// its chunks became ready (wall time minus channel stalls on the
-    /// pipelined lane, thread CPU time on parallel lanes), summed over
-    /// lanes. Lanes read their clock at chunk boundaries, never per root.
+    /// Scaled sender time. Each lane's thread CPU time, sampled when its
+    /// chunks became ready, summed over lanes (lanes read their clock at
+    /// chunk boundaries, never per root); the calling thread's wall time
+    /// for an inline transfer.
     pub produce_ns: u64,
-    /// Wire-occupancy time of all chunks.
+    /// Wire-occupancy time of all chunks (link busy time, no latency).
     pub wire_ns: u64,
     /// Scaled receiver absolutization CPU time (including final fixups).
     pub absorb_ns: u64,
-    /// Real time the sender spent blocked on a full channel.
+    /// Real time the senders spent blocked on a full channel.
     pub sender_stall_ns: u64,
-    /// Real time the receiver spent blocked on an empty channel.
+    /// Real time the absorbers spent blocked on an empty channel.
     pub receiver_stall_ns: u64,
     /// Chunk-pool hits during this transfer.
     pub pool_hits: u64,
@@ -198,11 +195,11 @@ pub struct PipelineReport {
     pub pool_misses: u64,
     /// High-water mark of chunks in flight.
     pub max_in_flight: u64,
-    /// Which execution strategy the adaptive policy picked.
+    /// Which execution strategy the policy picked.
     pub mode: TransferMode,
-    /// Traversal workers (1 outside parallel mode).
+    /// Sender lanes (1 for inline and pipelined transfers).
     pub workers: u64,
-    /// Successful inter-worker root steals (parallel mode only).
+    /// Successful inter-lane root steals (0 with one lane).
     pub steals: u64,
     /// Share of the pipelined schedule the modeled link spent busy
     /// (0–100; the wire is the shared resource parallel streams contend
@@ -245,21 +242,31 @@ impl PipelineReport {
 /// (unscaled) sampled at the moment the chunk was ready.
 type InFlight = (Vec<u8>, u64);
 
-/// What the sender thread hands back at join: its send statistics plus
-/// raw (unscaled) produce and channel-stall nanoseconds.
-type SenderSide = (SendStats, u64, u64);
+/// What one transfer measured, in raw (unscaled) nanoseconds, for
+/// [`PipelineEngine::schedule`] to turn into a report.
+struct Run<'a> {
+    mode: TransferMode,
+    /// Every lane's chunk timeline and fixup time.
+    lanes: &'a [StreamTimeline<'a>],
+    send_stats: SendStats,
+    recv_stats: ReceiveStats,
+    produce_raw_ns: u64,
+    /// The calling thread's finish after every lane joined.
+    merge_raw_ns: u64,
+    sender_stall_ns: u64,
+    receiver_stall_ns: u64,
+    max_in_flight: u64,
+    steals: u64,
+}
 
-/// The pipelined shuffle engine. Holds the shared [`ChunkPool`] so buffer
-/// backings survive across transfers — the second transfer of a similar
-/// shape allocates nothing.
+/// The transfer engine. Holds the shared [`ChunkPool`] so buffer backings
+/// survive across transfers — the second transfer of a similar shape
+/// allocates nothing.
 #[derive(Debug)]
 pub struct PipelineEngine {
     cfg: PipelineConfig,
     pool: Arc<ChunkPool>,
     metrics: PipelineMetrics,
-    /// Adaptive chunk-sizing state: the live flush threshold (0 = not yet
-    /// adapted, use `cfg.chunk_limit`).
-    live_chunk_limit: AtomicUsize,
 }
 
 impl PipelineEngine {
@@ -271,7 +278,6 @@ impl PipelineEngine {
             cfg,
             pool: Arc::clone(ChunkPool::global()),
             metrics: PipelineMetrics::new(Arc::clone(obs::global())),
-            live_chunk_limit: AtomicUsize::new(0),
         }
     }
 
@@ -282,36 +288,6 @@ impl PipelineEngine {
     pub fn with_pool(mut self, pool: Arc<ChunkPool>) -> Self {
         self.pool = pool;
         self
-    }
-
-    /// The flush threshold the next transfer will use: the configured
-    /// limit, or the adaptively tuned one once stall feedback moved it.
-    pub fn effective_chunk_limit(&self) -> usize {
-        let live = self.live_chunk_limit.load(Ordering::Relaxed);
-        if self.cfg.adaptive_chunking && live != 0 {
-            live
-        } else {
-            self.cfg.chunk_limit
-        }
-    }
-
-    /// Stall-feedback controller for the flush threshold: sender stalls
-    /// (channel full — per-chunk overhead downstream) grow the chunks,
-    /// receiver stalls (channel empty — first byte arrives too late)
-    /// shrink them. A 2× dominance band keeps the controller from
-    /// oscillating on balanced transfers.
-    fn adapt_chunk_limit(&self, sender_stall_ns: u64, receiver_stall_ns: u64) {
-        let cur = self.effective_chunk_limit();
-        let next = if sender_stall_ns > 2 * receiver_stall_ns {
-            (cur.saturating_mul(2)).min(MAX_ADAPTIVE_CHUNK)
-        } else if receiver_stall_ns > 2 * sender_stall_ns {
-            (cur / 2).max(MIN_ADAPTIVE_CHUNK)
-        } else {
-            cur
-        };
-        if next != cur {
-            self.live_chunk_limit.store(next, Ordering::Relaxed);
-        }
     }
 
     /// Reports into `registry` instead of the process-wide default
@@ -334,17 +310,20 @@ impl PipelineEngine {
 
     /// Moves the object graphs of `roots` from `sender_vm` to
     /// `receiver_vm`, overlapping traversal, transfer, and absolutization.
-    /// Returns the received roots (arrival order, same as the sequential
+    /// Returns the received roots (in `roots` order, as on the sequential
     /// path) and the transfer report.
     ///
     /// Flat graphs that provably fit one chunk (see
-    /// [`GraphSender::estimate_flat_bytes`]) skip the overlap machinery
-    /// and run the three phases inline — with a single chunk there is
-    /// nothing to overlap, and the thread + channel overhead would make
-    /// the pipeline strictly slower than the sequential path.
+    /// [`GraphSender::estimate_flat_bytes`]) skip the lanes and run the
+    /// three phases inline — with a single chunk there is nothing to
+    /// overlap, and the thread + channel overhead would make the transfer
+    /// strictly slower than the sequential path.
     ///
     /// `src`/`dst` are the nodes the VMs live on; `sid`/`stream` identify
-    /// the shuffle stream exactly as on the sequential path.
+    /// the shuffle stream exactly as on the sequential path. Lane `t` sends
+    /// as stream `stream + t`, so callers whose engine has
+    /// [`PipelineConfig::parallel`] set reserve one stream id per worker
+    /// ([`crate::ShuffleController::next_stream_block`]).
     ///
     /// # Errors
     /// Heap/registry/corrupt-stream errors from either side; sender-side
@@ -429,6 +408,8 @@ impl PipelineEngine {
         r
     }
 
+    /// The mode policy: inline for a flat single chunk, otherwise a lane
+    /// count for [`Self::transfer_lanes`].
     #[allow(clippy::too_many_arguments)]
     fn transfer_inner(
         &self,
@@ -443,229 +424,64 @@ impl PipelineEngine {
         hooks: Option<&UpdateRegistry>,
         ctx: obs::TraceCtx,
     ) -> Result<(Vec<Addr>, PipelineReport)> {
-        let chunk_limit = self.effective_chunk_limit();
-        self.metrics.chunk_limit.set(chunk_limit as i64);
         let send_cfg = SendConfig {
-            chunk_limit,
+            chunk_limit: self.cfg.chunk_limit,
             receiver_spec: receiver_vm.spec(),
-            tracking: self.cfg.tracking.unwrap_or(if sender_vm.spec().with_baddr {
-                Tracking::Baddr
-            } else {
-                Tracking::HashTable
-            }),
+            ..SendConfig::for_vm(sender_vm)
         };
-        let pool_hits0 = self.pool.hits();
-        let pool_misses0 = self.pool.misses();
+        let pool0 = (self.pool.hits(), self.pool.misses());
 
-        // Mode policy, first gate — flat single-chunk fast path: when
-        // every root is reference-free the whole stream provably fits one
-        // chunk, so there is nothing to overlap — threads, channels, and
-        // per-chunk bookkeeping would be pure overhead (measurably
-        // negative on small flat payloads). Run the three phases inline
-        // instead; the estimate is an upper bound, so taking this branch
-        // guarantees a single chunk. This gate outranks parallel mode: a
-        // single chunk gives N workers nothing to share.
+        // First gate — flat single-chunk fast path: when every root is
+        // reference-free the whole stream provably fits one chunk, so
+        // there is nothing to overlap — threads, channels, and per-chunk
+        // bookkeeping would be pure overhead (measurably negative on small
+        // flat payloads). Run the three phases inline instead; the
+        // estimate is an upper bound, so taking this branch guarantees a
+        // single chunk. This gate outranks parallel mode: a single chunk
+        // gives N lanes nothing to share.
         {
             let mut gs = GraphSender::new(sender_vm, dir, src, sid, stream, send_cfg)?
                 .with_metrics(Arc::clone(&self.metrics.registry))
                 .with_pool(Arc::clone(&self.pool))
                 .with_trace(ctx);
-            if gs.estimate_flat_bytes(roots, chunk_limit as u64)?.is_some() {
-                return self.transfer_single_chunk(
-                    gs,
-                    receiver_vm,
-                    dir,
-                    dst,
-                    roots,
-                    hooks,
-                    pool_hits0,
-                    pool_misses0,
-                    ctx,
-                );
+            if gs.estimate_flat_bytes(roots, self.cfg.chunk_limit as u64)?.is_some() {
+                return self.transfer_inline(gs, receiver_vm, dir, dst, roots, hooks, pool0, ctx);
             }
         }
 
-        // Second gate — parallel mode: opt-in, and only when there are
-        // enough roots to amortize the per-worker setup (each worker owns
-        // a stream, a channel, and an absorber).
-        if let Some(par) = self.cfg.parallel {
-            if par.workers >= 2 && roots.len() >= par.workers * par.min_roots_per_worker.max(1) {
-                let r = self.transfer_parallel(
-                    sender_vm,
-                    receiver_vm,
-                    dir,
-                    src,
-                    dst,
-                    sid,
-                    stream,
-                    roots,
-                    hooks,
-                    ctx,
-                    send_cfg,
-                    par,
-                );
-                if let (true, Ok((_, report))) = (self.cfg.adaptive_chunking, &r) {
-                    self.adapt_chunk_limit(report.sender_stall_ns, report.receiver_stall_ns);
-                }
-                return r;
+        // Second gate — lane count: the configured workers only when there
+        // are enough roots to amortize the per-lane setup (each lane owns
+        // a stream, a channel, and an absorber); one lane otherwise.
+        let lanes = match self.cfg.parallel {
+            Some(par) if roots.len() >= par.workers * par.min_roots_per_worker.max(1) => {
+                par.workers.max(1)
             }
-        }
-
-        self.metrics.mode_pipelined.inc();
-        let in_flight = AtomicI64::new(0);
-        let max_in_flight = AtomicU64::new(0);
-        let (tx, rx) = mpsc::sync_channel::<InFlight>(self.cfg.depth.max(1));
-
-        // Timeline entries: (cumulative produce ns when ready, bytes,
-        // absorb ns for this chunk). Scaled and scheduled after the join.
-        let mut timeline: Vec<(u64, u64, u64)> = Vec::new();
-        let mut receiver_stall_ns = 0u64;
-        let mut absorb_raw_ns = 0u64;
-        let mut fixup_raw_ns = 0u64;
-
-        let (roots_out, recv_stats, send_side) =
-            std::thread::scope(|scope| -> Result<(Vec<Addr>, ReceiveStats, SenderSide)> {
-                // The sender thread owns `tx`: when it returns, the channel
-                // closes and the receive loop below terminates. Everything
-                // else crosses as shared references (`Vm`, the registry,
-                // and the pool are all `Sync`).
-                let in_flight = &in_flight;
-                let max_in_flight = &max_in_flight;
-                let metrics = &self.metrics;
-                let pool = &self.pool;
-                let sender_task = scope.spawn(move || -> Result<(SendStats, u64, u64)> {
-                    let mut gs = GraphSender::new(sender_vm, dir, src, sid, stream, send_cfg)?
-                        .with_metrics(Arc::clone(&metrics.registry))
-                        .with_pool(Arc::clone(pool))
-                        .with_trace(ctx);
-                    let mut stall_ns = 0u64;
-                    let ship = |chunks: Vec<Vec<u8>>, produce_ns: u64, stall: &mut u64| {
-                        for c in chunks {
-                            // The span covers the (possibly blocking) hand-
-                            // off, so backpressure stalls are visible as
-                            // long chunk-send spans in the trace.
-                            let mut span = if ctx.is_none() {
-                                None
-                            } else {
-                                Some(metrics.registry.tracer().start(
-                                    obs::names::TRACE_SENDER_CHUNK_SEND,
-                                    ctx,
-                                    &sender_vm.name,
-                                ))
-                            };
-                            if let Some(s) = span.as_mut() {
-                                s.annotate("bytes", c.len() as u64);
-                            }
-                            let t0 = Instant::now();
-                            // A closed channel means the receiver bailed
-                            // with an error; stop producing quietly — the
-                            // receiver's error wins.
-                            if tx.send((c, produce_ns)).is_err() {
-                                return false;
-                            }
-                            *stall += t0.elapsed().as_nanos() as u64;
-                            drop(span);
-                            let now = in_flight.fetch_add(1, Ordering::Relaxed) + 1;
-                            metrics.chunks_in_flight.set(now);
-                            max_in_flight.fetch_max(now.max(0) as u64, Ordering::Relaxed);
-                        }
-                        true
-                    };
-                    // The clock is read at lane start, at each chunk
-                    // boundary and at finish — never per root. Produce
-                    // time is the lane's wall time minus its stalls.
-                    let lane0 = Instant::now();
-                    let produced = |stall_ns: u64| {
-                        (lane0.elapsed().as_nanos() as u64).saturating_sub(stall_ns)
-                    };
-                    for &root in roots {
-                        gs.write_root(root)?;
-                        let chunks = gs.take_ready_chunks();
-                        if !chunks.is_empty() && !ship(chunks, produced(stall_ns), &mut stall_ns) {
-                            return Ok((gs.finish().stats, produced(stall_ns), stall_ns));
-                        }
-                    }
-                    let out = gs.finish();
-                    let produce_ns = produced(stall_ns);
-                    ship(out.chunks, produce_ns, &mut stall_ns);
-                    Ok((out.stats, produce_ns, stall_ns))
-                });
-
-                // Receiver runs on this thread: it owns `&mut Vm`.
-                let recv_result = (|| -> Result<(Vec<Addr>, ReceiveStats)> {
-                    let mut gr = GraphReceiver::new(receiver_vm, dir, dst)
-                        .with_metrics(Arc::clone(&self.metrics.registry));
-                    if !ctx.is_none() {
-                        gr = gr.with_trace(ctx);
-                    }
-                    loop {
-                        let t0 = Instant::now();
-                        let Ok((chunk, ready_ns)) = rx.recv() else { break };
-                        let waited = t0.elapsed().as_nanos() as u64;
-                        receiver_stall_ns += waited;
-                        self.metrics.chunk_stall_ns.record(waited);
-                        let now = in_flight.fetch_sub(1, Ordering::Relaxed) - 1;
-                        self.metrics.chunks_in_flight.set(now);
-                        let t1 = Instant::now();
-                        gr.push_chunk(&chunk)?;
-                        gr.absorb_ready(hooks)?;
-                        let absorb = t1.elapsed().as_nanos() as u64;
-                        absorb_raw_ns += absorb;
-                        timeline.push((ready_ns, chunk.len() as u64, absorb));
-                        self.pool.release(chunk);
-                    }
-                    let t0 = Instant::now();
-                    let out = gr.finish(hooks)?;
-                    fixup_raw_ns = t0.elapsed().as_nanos() as u64;
-                    Ok(out)
-                })();
-                // Receiver error: drop the channel end so a blocked sender
-                // unblocks, then surface whichever error came first.
-                drop(rx);
-                let send_side = match sender_task.join() {
-                    Ok(r) => r?,
-                    Err(p) => std::panic::resume_unwind(p),
-                };
-                let (roots_out, recv_stats) = recv_result?;
-                Ok((roots_out, recv_stats, send_side))
-            })?;
-        let (send_stats, produce_raw_ns, sender_stall_ns) = send_side;
-
-        self.metrics.chunks_in_flight.set(0);
-        self.metrics.stall_ns.add(sender_stall_ns + receiver_stall_ns);
-        let pool_hits = self.pool.hits() - pool_hits0;
-        let pool_misses = self.pool.misses() - pool_misses0;
-        self.metrics.pool_hits.add(pool_hits);
-        self.metrics.pool_misses.add(pool_misses);
-
-        let report = self.schedule(
-            &timeline,
-            produce_raw_ns,
-            absorb_raw_ns + fixup_raw_ns,
-            fixup_raw_ns,
-            send_stats,
-            recv_stats,
-            sender_stall_ns,
-            receiver_stall_ns,
-            pool_hits,
-            pool_misses,
-            max_in_flight.load(Ordering::Relaxed),
+            _ => 1,
+        };
+        self.transfer_lanes(
+            sender_vm,
+            receiver_vm,
+            dir,
+            src,
+            dst,
+            sid,
+            stream,
+            roots,
+            hooks,
             ctx,
-            &sender_vm.name,
-        );
-        if self.cfg.adaptive_chunking {
-            self.adapt_chunk_limit(report.sender_stall_ns, report.receiver_stall_ns);
-        }
-        Ok((roots_out, report))
+            send_cfg,
+            lanes,
+            pool0,
+        )
     }
 
-    /// The inline (no threads, no channel) variant of [`Self::transfer`]
-    /// for flat graphs whose whole stream fits one chunk: produce, move,
-    /// absorb, strictly in sequence. With a single chunk the pipelined
-    /// schedule *is* the three-phase barrier, so the report carries the
-    /// same figure for both timelines and a zero in-flight high-water mark.
+    /// Inline mode: produce, move, absorb, strictly in sequence on the
+    /// calling thread — no lanes, no channel — for flat graphs whose whole
+    /// stream fits one chunk. With a single chunk the overlapped schedule
+    /// *is* the three-phase barrier, so the report carries the same figure
+    /// for both timelines and a zero in-flight high-water mark.
     #[allow(clippy::too_many_arguments)]
-    fn transfer_single_chunk(
+    fn transfer_inline(
         &self,
         mut gs: GraphSender<'_>,
         receiver_vm: &mut Vm,
@@ -673,12 +489,11 @@ impl PipelineEngine {
         dst: NodeId,
         roots: &[Addr],
         hooks: Option<&UpdateRegistry>,
-        pool_hits0: u64,
-        pool_misses0: u64,
+        pool0: (u64, u64),
         ctx: obs::TraceCtx,
     ) -> Result<(Vec<Addr>, PipelineReport)> {
         self.metrics.mode_inline.inc();
-        let gs_node = gs.node_name().to_owned();
+        let link_node = gs.node_name();
         let t0 = Instant::now();
         for &root in roots {
             gs.write_root(root)?;
@@ -694,82 +509,51 @@ impl PipelineEngine {
         let t1 = Instant::now();
         for c in &out.chunks {
             gr.push_chunk(c)?;
-            gr.absorb_ready(hooks)?;
         }
         let (roots_out, recv_stats) = gr.finish(hooks)?;
         let absorb_raw_ns = t1.elapsed().as_nanos() as u64;
 
-        let chunk_bytes: Vec<u64> = out.chunks.iter().map(|c| c.len() as u64).collect();
-        let total_bytes: u64 = chunk_bytes.iter().sum();
+        let timeline: Vec<(u64, u64, u64)> =
+            out.chunks.iter().map(|c| (produce_raw_ns, c.len() as u64, absorb_raw_ns)).collect();
         for c in out.chunks {
             self.pool.release(c);
         }
-        let pool_hits = self.pool.hits() - pool_hits0;
-        let pool_misses = self.pool.misses() - pool_misses0;
-        self.metrics.pool_hits.add(pool_hits);
-        self.metrics.pool_misses.add(pool_misses);
-
-        let scale = |ns: u64| -> u64 { (ns as f64 * self.cfg.sim.sd_cpu_scale) as u64 };
-        let wire_ns = self.cfg.sim.net_ns(total_bytes);
-        if !ctx.is_none() {
-            // One inline chunk, one occupancy interval on the sim clock.
-            let start = scale(produce_raw_ns);
-            self.metrics.registry.tracer().record_sim(
-                obs::names::TRACE_LINK_XMIT,
-                ctx,
-                &gs_node,
-                start,
-                start + wire_ns,
-                &[("bytes", total_bytes)],
-            );
-        }
-        let wall = scale(produce_raw_ns) + wire_ns + scale(absorb_raw_ns);
-        let report = PipelineReport {
+        let run = Run {
+            mode: TransferMode::Inline,
+            lanes: &[(timeline.as_slice(), 0)],
             send_stats: out.stats,
             recv_stats,
-            chunk_bytes,
-            pipelined_ns: wall,
-            sequential_ns: wall,
-            produce_ns: scale(produce_raw_ns),
-            wire_ns,
-            absorb_ns: scale(absorb_raw_ns),
+            produce_raw_ns,
+            merge_raw_ns: 0,
             sender_stall_ns: 0,
             receiver_stall_ns: 0,
-            pool_hits,
-            pool_misses,
             max_in_flight: 0,
-            mode: TransferMode::Inline,
-            workers: 1,
             steals: 0,
-            link_utilization_pct: if wall == 0 {
-                0.0
-            } else {
-                100.0 * wire_ns as f64 / wall as f64
-            },
         };
-        Ok((roots_out, report))
+        Ok((roots_out, self.schedule(run, pool0, ctx, link_node)))
     }
 
-    /// The parallel strategy: `workers` work-stealing traversal workers
-    /// share the root set through a [`StealSet`] (roots start as
-    /// contiguous blocks, idle workers steal), each worker streams its
-    /// chunks through its own bounded channel to its own
-    /// [`StreamAbsorber`], and all absorbers place input buffers
-    /// concurrently through the receiving heap's shared old-generation
-    /// window. Cross-stream CAS races on `baddr` duplicate contended
-    /// objects per stream exactly as on the sequential parallel path.
-    /// Heap-mutating finish work — the batched card-table pass and update
-    /// hooks — runs once on the calling thread after every worker joined
-    /// and the shared window closed.
+    /// The threaded run, for any lane count: `lanes` sender lanes share
+    /// the root set through a [`StealSet`] (roots start as contiguous
+    /// blocks, idle lanes steal), each lane streams its chunks through its own
+    /// bounded channel to its own [`StreamAbsorber`], and all absorbers
+    /// place input buffers concurrently through the receiving heap's
+    /// shared old-generation window. Lane `t` sends as stream
+    /// `stream_base + t`; cross-stream CAS races on `baddr` duplicate
+    /// contended objects per stream exactly as on the sequential parallel
+    /// path. The lanes' [`StreamIn`]s merge into one, finished on the
+    /// calling thread — one batched card-table pass, then update hooks —
+    /// after every lane joined and the shared window closed. One lane is
+    /// [`TransferMode::Pipelined`], more are [`TransferMode::Parallel`].
     ///
-    /// Per-worker produce/absorb time is measured on the *thread* CPU
-    /// clock ([`obs::thread_cpu_ns`]), not wall time: on a host with
-    /// fewer cores than workers, wall time would charge every worker for
-    /// its timeslice waits and inflate the simulated cost N-fold. A
-    /// sender lane reads it at lane start, whenever a chunk becomes ready
-    /// and at finish; an absorber around each chunk and its fixup drain.
+    /// Lane produce/absorb time is measured on the *thread* CPU clock
+    /// ([`obs::thread_cpu_ns`]), not wall time: on a host with fewer cores
+    /// than threads, wall time would charge every lane for its timeslice
+    /// waits and inflate the simulated cost N-fold. A sender lane reads it
+    /// at lane start, whenever a chunk becomes ready and at finish; an
+    /// absorber around each chunk and its fixup drain.
     #[allow(clippy::too_many_arguments)]
-    fn transfer_parallel(
+    fn transfer_lanes(
         &self,
         sender_vm: &Vm,
         receiver_vm: &mut Vm,
@@ -782,7 +566,8 @@ impl PipelineEngine {
         hooks: Option<&UpdateRegistry>,
         ctx: obs::TraceCtx,
         send_cfg: SendConfig,
-        par: ParallelConfig,
+        lanes: usize,
+        pool0: (u64, u64),
     ) -> Result<(Vec<Addr>, PipelineReport)> {
         struct SenderOut {
             stats: SendStats,
@@ -797,14 +582,17 @@ impl PipelineEngine {
             fixup_raw_ns: u64,
         }
 
-        let workers = par.workers.max(2);
-        self.metrics.mode_parallel.inc();
-        let pool_hits0 = self.pool.hits();
-        let pool_misses0 = self.pool.misses();
+        let mode = if lanes == 1 {
+            self.metrics.mode_pipelined.inc();
+            TransferMode::Pipelined
+        } else {
+            self.metrics.mode_parallel.inc();
+            TransferMode::Parallel
+        };
         if !ctx.is_none() {
             receiver_vm.set_trace_ctx(ctx);
         }
-        let steal_set = StealSet::new(roots, workers, par.steal_batch);
+        let steal_set = StealSet::new(roots, lanes, self.cfg.parallel.map_or(1, |p| p.steal_batch));
         let in_flight = AtomicI64::new(0);
         let max_in_flight = AtomicU64::new(0);
 
@@ -814,38 +602,35 @@ impl PipelineEngine {
         let joined = {
             let rvm: &Vm = receiver_vm;
             std::thread::scope(|scope| -> (Vec<Result<SenderOut>>, Vec<Result<AbsorbOut>>) {
-                let mut sender_tasks = Vec::with_capacity(workers);
-                let mut absorb_tasks = Vec::with_capacity(workers);
-                for t in 0..workers {
+                let mut sender_tasks = Vec::with_capacity(lanes);
+                let mut absorb_tasks = Vec::with_capacity(lanes);
+                for t in 0..lanes {
                     let (tx, rx) = mpsc::sync_channel::<InFlight>(self.cfg.depth.max(1));
+                    let lane = t as u32 + 1;
                     let steal_set = &steal_set;
                     let in_flight = &in_flight;
                     let max_in_flight = &max_in_flight;
                     let metrics = &self.metrics;
                     let pool = &self.pool;
                     sender_tasks.push(scope.spawn(move || -> Result<SenderOut> {
-                        let lane = t as u32 + 1;
                         let mut gs: Option<GraphSender<'_>> = None;
                         let mut order: Vec<u32> = Vec::new();
                         let mut stall_ns = 0u64;
                         let mut open = true;
                         let ship = |chunks: Vec<Vec<u8>>, produce_ns: u64, stall: &mut u64| {
                             for c in chunks {
-                                let mut span = if ctx.is_none() {
-                                    None
-                                } else {
-                                    Some(metrics.registry.tracer().start_on(
-                                        obs::names::TRACE_SENDER_CHUNK_SEND,
-                                        ctx,
-                                        &sender_vm.name,
-                                        lane,
-                                    ))
-                                };
-                                if let Some(s) = span.as_mut() {
-                                    s.annotate("bytes", c.len() as u64);
-                                }
+                                // The span covers the (possibly blocking)
+                                // hand-off, so backpressure stalls show as
+                                // long chunk-send spans in the trace.
+                                let mut span = metrics.registry.tracer().start_on(
+                                    obs::names::TRACE_SENDER_CHUNK_SEND,
+                                    ctx,
+                                    &sender_vm.name,
+                                    lane,
+                                );
+                                span.annotate("bytes", c.len() as u64);
                                 let t0 = Instant::now();
-                                // A closed channel means this worker's
+                                // A closed channel means this lane's
                                 // absorber bailed with an error; stop
                                 // producing quietly — its error wins.
                                 if tx.send((c, produce_ns)).is_err() {
@@ -863,28 +648,13 @@ impl PipelineEngine {
                         // start, at each chunk boundary and at finish —
                         // never per root.
                         let lane0 = obs::thread_cpu_ns();
-                        loop {
-                            let (idx, root) = match steal_set.pop_local(t) {
-                                Some(item) => item,
-                                None => {
-                                    let t0 = Instant::now();
-                                    match steal_set.steal(t) {
-                                        Some((victim, batch)) => {
-                                            if let Some(s) = gs.as_ref() {
-                                                s.note_steal(
-                                                    victim,
-                                                    batch,
-                                                    t0.elapsed().as_nanos() as u64,
-                                                );
-                                            }
-                                            continue;
-                                        }
-                                        None => break,
-                                    }
-                                }
-                            };
-                            if gs.is_none() {
-                                gs = Some(
+                        while let Some((idx, root)) = steal_set.next(t, gs.as_ref()) {
+                            let s = match &mut gs {
+                                Some(s) => s,
+                                // A lane opens its stream with its first
+                                // root, so a lane whose roots were all
+                                // stolen away sends nothing.
+                                none => none.insert(
                                     GraphSender::new(
                                         sender_vm,
                                         dir,
@@ -897,18 +667,16 @@ impl PipelineEngine {
                                     .with_pool(Arc::clone(pool))
                                     .with_trace(ctx)
                                     .with_lane(lane),
-                                );
-                            }
-                            if let Some(s) = gs.as_mut() {
-                                s.write_root(root)?;
-                                order.push(idx);
-                                let chunks = s.take_ready_chunks();
-                                if !chunks.is_empty() {
-                                    let produce_ns = obs::thread_cpu_ns().saturating_sub(lane0);
-                                    if !ship(chunks, produce_ns, &mut stall_ns) {
-                                        open = false;
-                                        break;
-                                    }
+                                ),
+                            };
+                            s.write_root(root)?;
+                            order.push(idx);
+                            let chunks = s.take_ready_chunks();
+                            if !chunks.is_empty() {
+                                let produce_ns = obs::thread_cpu_ns().saturating_sub(lane0);
+                                if !ship(chunks, produce_ns, &mut stall_ns) {
+                                    open = false;
+                                    break;
                                 }
                             }
                         }
@@ -921,18 +689,14 @@ impl PipelineEngine {
                                 }
                                 (out.stats, produce_ns)
                             }
-                            // Zero roots reached this worker (all stolen
-                            // away): no stream, no channel traffic.
                             None => (SendStats::default(), 0),
                         };
                         Ok(SenderOut { stats, order, produce_raw_ns, stall_ns })
                     }));
                     absorb_tasks.push(scope.spawn(move || -> Result<AbsorbOut> {
                         let mut sa = StreamAbsorber::new(rvm, dir, dst)
-                            .with_metrics(Arc::clone(&metrics.registry));
-                        if !ctx.is_none() {
-                            sa = sa.with_trace(ctx, t as u32 + 1);
-                        }
+                            .with_metrics(Arc::clone(&metrics.registry))
+                            .with_trace(ctx, lane);
                         let mut timeline: Vec<(u64, u64, u64)> = Vec::new();
                         let mut stall_ns = 0u64;
                         loop {
@@ -981,121 +745,102 @@ impl PipelineEngine {
         let aouts = joined.1.into_iter().collect::<Result<Vec<AbsorbOut>>>()?;
 
         // Merge on the calling thread, which owns `&mut Vm` again: roots
-        // back into original order, one batched card pass over every
-        // stream's input buffers, then update hooks.
+        // back into original order, every lane's card spans and hooks into
+        // one stream, then the shared receive finish.
         let merge0 = obs::thread_cpu_ns();
         let mut send_stats = SendStats::default();
-        let mut recv_stats = ReceiveStats::default();
-        let mut roots_out = vec![Addr::NULL; roots.len()];
+        let mut merged = StreamIn {
+            roots: vec![Addr::NULL; roots.len()],
+            stats: ReceiveStats::default(),
+            card_spans: Vec::new(),
+            pending_hooks: Vec::new(),
+        };
         let mut produce_raw_ns = 0u64;
         let mut sender_stall_ns = 0u64;
         let mut receiver_stall_ns = 0u64;
-        let mut card_spans: Vec<(Addr, u64)> = Vec::new();
-        let mut pending_hooks: Vec<(Addr, usize)> = Vec::new();
         for (t, (so, ao)) in souts.iter().zip(&aouts).enumerate() {
-            if so.order.len() != ao.stream_in.roots.len() {
+            let lane_in = &ao.stream_in;
+            if so.order.len() != lane_in.roots.len() {
                 return Err(Error::BadFrame(format!(
-                    "parallel stream {t} absorbed {} roots but the sender emitted {}",
-                    ao.stream_in.roots.len(),
+                    "lane {t} absorbed {} roots but its sender emitted {}",
+                    lane_in.roots.len(),
                     so.order.len()
                 )));
             }
-            for (j, &orig) in so.order.iter().enumerate() {
-                roots_out[orig as usize] = ao.stream_in.roots[j];
+            for (&orig, &root) in so.order.iter().zip(&lane_in.roots) {
+                merged.roots[orig as usize] = root;
             }
             send_stats.merge(&so.stats);
-            recv_stats.merge(&ao.stream_in.stats);
+            merged.stats.merge(&lane_in.stats);
+            merged.card_spans.extend(&lane_in.card_spans);
+            merged.pending_hooks.extend(&lane_in.pending_hooks);
             produce_raw_ns += so.produce_raw_ns;
             sender_stall_ns += so.stall_ns;
             receiver_stall_ns += ao.stall_ns;
-            card_spans.extend(&ao.stream_in.card_spans);
-            pending_hooks.extend(&ao.stream_in.pending_hooks);
         }
-        let cards = receiver_vm.heap_mut().dirty_card_batch(&card_spans);
-        recv_stats.cards_dirtied += cards;
-        self.metrics.registry.counter(obs::names::RECEIVER_CARDS_DIRTIED).add(cards);
-        if let Some(h) = hooks {
-            for (obj, idx) in pending_hooks {
-                h.apply(receiver_vm, obj, idx)?;
-            }
-        }
+        let (roots_out, recv_stats) =
+            merged.finish(receiver_vm, hooks, &self.metrics.registry, ctx)?;
         let merge_raw_ns = obs::thread_cpu_ns().saturating_sub(merge0);
 
-        let steals = steal_set.steals();
-        self.metrics.steals.add(steals);
-        self.metrics.stall_ns.add(sender_stall_ns + receiver_stall_ns);
-        let pool_hits = self.pool.hits() - pool_hits0;
-        let pool_misses = self.pool.misses() - pool_misses0;
-        self.metrics.pool_hits.add(pool_hits);
-        self.metrics.pool_misses.add(pool_misses);
-
-        let per_stream: Vec<StreamTimeline<'_>> =
+        let per_lane: Vec<StreamTimeline<'_>> =
             aouts.iter().map(|a| (a.timeline.as_slice(), a.fixup_raw_ns)).collect();
-        let absorb_raw_total_ns: u64 = aouts
-            .iter()
-            .map(|a| a.fixup_raw_ns + a.timeline.iter().map(|&(_, _, ns)| ns).sum::<u64>())
-            .sum::<u64>()
-            + merge_raw_ns;
-        let report = self.schedule_parallel(
-            &per_stream,
-            produce_raw_ns,
-            absorb_raw_total_ns,
-            merge_raw_ns,
+        let run = Run {
+            mode,
+            lanes: &per_lane,
             send_stats,
             recv_stats,
+            produce_raw_ns,
+            merge_raw_ns,
             sender_stall_ns,
             receiver_stall_ns,
-            pool_hits,
-            pool_misses,
-            max_in_flight.load(Ordering::Relaxed),
-            workers as u64,
-            steals,
-            ctx,
-            &sender_vm.name,
-        );
-        Ok((roots_out, report))
+            max_in_flight: max_in_flight.load(Ordering::Relaxed),
+            steals: steal_set.steals(),
+        };
+        Ok((roots_out, self.schedule(run, pool0, ctx, &sender_vm.name)))
     }
 
-    /// The parallel analogue of [`Self::schedule`]: every worker's chunks
-    /// contend for ONE shared link (sorted by scaled ready time, each on
-    /// its own trace lane), then chain through that worker's absorber;
-    /// the transfer ends when the slowest stream finishes its fixups plus
-    /// the coordinator's merge. The sequential comparison charges the sum
-    /// of all workers' CPU — the same work one thread would have done.
-    #[allow(clippy::too_many_arguments)]
-    fn schedule_parallel(
+    /// The one scheduler: builds the simulated-time report from a run's
+    /// measured lane timelines, and publishes the run's pool, stall and
+    /// steal counters.
+    ///
+    /// Pipelined: every lane's chunks contend for ONE shared link (taken
+    /// in scaled ready order, each lane's occupancy on its own trace
+    /// lane); each chunk then chains through its lane's absorber, which
+    /// absolutizes it as soon as both it and the absorber are free. The
+    /// transfer ends when the slowest lane finishes its fixups plus the
+    /// calling thread's merge. Sequential: all produce, then the whole
+    /// payload at `net_ns`, then all absorption — the three-phase barrier
+    /// the sequential path pays for the same work.
+    fn schedule(
         &self,
-        per_stream: &[StreamTimeline<'_>],
-        produce_raw_ns: u64,
-        absorb_raw_total_ns: u64,
-        merge_raw_ns: u64,
-        send_stats: SendStats,
-        recv_stats: ReceiveStats,
-        sender_stall_ns: u64,
-        receiver_stall_ns: u64,
-        pool_hits: u64,
-        pool_misses: u64,
-        max_in_flight: u64,
-        workers: u64,
-        steals: u64,
+        run: Run<'_>,
+        pool0: (u64, u64),
         ctx: obs::TraceCtx,
         link_node: &str,
     ) -> PipelineReport {
+        let pool_hits = self.pool.hits() - pool0.0;
+        let pool_misses = self.pool.misses() - pool0.1;
+        self.metrics.pool_hits.add(pool_hits);
+        self.metrics.pool_misses.add(pool_misses);
+        self.metrics.stall_ns.add(run.sender_stall_ns + run.receiver_stall_ns);
+        self.metrics.steals.add(run.steals);
+
         let scale = |ns: u64| -> u64 { (ns as f64 * self.cfg.sim.sd_cpu_scale) as u64 };
-        // (scaled ready, worker, bytes, scaled absorb) for every chunk of
-        // every stream; the greedy in-ready-order schedule through one
-        // LinkClock models the shared wire all streams contend for.
-        // Within a worker ready times are cumulative, so the global sort
-        // preserves each stream's chunk order.
+        // (scaled ready, lane, bytes, scaled absorb) for every chunk of
+        // every lane. Within a lane ready times are cumulative, so the
+        // global sort preserves each stream's chunk order.
         let mut events: Vec<(u64, usize, u64, u64)> = Vec::new();
-        for (t, (timeline, _)) in per_stream.iter().enumerate() {
-            for &(ready_raw, bytes, absorb_raw) in *timeline {
+        let mut absorb_raw_ns = run.merge_raw_ns;
+        for (t, &(timeline, fixup_raw)) in run.lanes.iter().enumerate() {
+            absorb_raw_ns += fixup_raw;
+            for &(ready_raw, bytes, absorb_raw) in timeline {
                 events.push((scale(ready_raw), t, bytes, scale(absorb_raw)));
+                absorb_raw_ns += absorb_raw;
             }
         }
         events.sort_by_key(|&(ready, t, _, _)| (ready, t));
         let mut link = LinkClock::new(&self.cfg.sim);
-        let mut absorber_free = vec![0u64; per_stream.len()];
+        let mut absorber_free = vec![0u64; run.lanes.len()];
         let mut total_bytes = 0u64;
         let mut chunk_bytes = Vec::with_capacity(events.len());
         for &(ready, t, bytes, absorb) in &events {
@@ -1115,102 +860,33 @@ impl PipelineEngine {
             total_bytes += bytes;
             chunk_bytes.push(bytes);
         }
-        let slowest_stream = per_stream
+        let slowest_lane = run
+            .lanes
             .iter()
-            .enumerate()
-            .map(|(t, &(_, fixup_raw))| absorber_free[t] + scale(fixup_raw))
+            .zip(&absorber_free)
+            .map(|(&(_, fixup_raw), &free)| free + scale(fixup_raw))
             .max()
             .unwrap_or(0);
-        let pipelined_ns = slowest_stream + scale(merge_raw_ns);
+        let pipelined_ns = slowest_lane + scale(run.merge_raw_ns);
         let sequential_ns =
-            scale(produce_raw_ns) + self.cfg.sim.net_ns(total_bytes) + scale(absorb_raw_total_ns);
+            scale(run.produce_raw_ns) + self.cfg.sim.net_ns(total_bytes) + scale(absorb_raw_ns);
         PipelineReport {
-            send_stats,
-            recv_stats,
+            send_stats: run.send_stats,
+            recv_stats: run.recv_stats,
             chunk_bytes,
             pipelined_ns,
             sequential_ns,
-            produce_ns: scale(produce_raw_ns),
+            produce_ns: scale(run.produce_raw_ns),
             wire_ns: link.busy_ns(),
-            absorb_ns: scale(absorb_raw_total_ns),
-            sender_stall_ns,
-            receiver_stall_ns,
+            absorb_ns: scale(absorb_raw_ns),
+            sender_stall_ns: run.sender_stall_ns,
+            receiver_stall_ns: run.receiver_stall_ns,
             pool_hits,
             pool_misses,
-            max_in_flight,
-            mode: TransferMode::Parallel,
-            workers,
-            steals,
-            link_utilization_pct: link.utilization_pct(pipelined_ns),
-        }
-    }
-
-    /// Builds the simulated-time comparison from the measured timeline.
-    ///
-    /// Pipelined: each chunk becomes ready at its (scaled) cumulative
-    /// produce time, crosses the wire under the [`LinkClock`] schedule,
-    /// and is absolutized as soon as both it and the absorber are free;
-    /// the final fixup drain runs after the last chunk. Sequential: all
-    /// produce, then the whole payload at `net_ns`, then all absorption —
-    /// the three-phase barrier the sequential path actually pays.
-    #[allow(clippy::too_many_arguments)]
-    fn schedule(
-        &self,
-        timeline: &[(u64, u64, u64)],
-        produce_raw_ns: u64,
-        absorb_raw_total_ns: u64,
-        fixup_raw_ns: u64,
-        send_stats: SendStats,
-        recv_stats: ReceiveStats,
-        sender_stall_ns: u64,
-        receiver_stall_ns: u64,
-        pool_hits: u64,
-        pool_misses: u64,
-        max_in_flight: u64,
-        ctx: obs::TraceCtx,
-        link_node: &str,
-    ) -> PipelineReport {
-        let scale = |ns: u64| -> u64 { (ns as f64 * self.cfg.sim.sd_cpu_scale) as u64 };
-        let mut link = LinkClock::new(&self.cfg.sim);
-        let mut absorber_free = 0u64;
-        let mut total_bytes = 0u64;
-        let mut chunk_bytes = Vec::with_capacity(timeline.len());
-        for &(ready_raw, bytes, absorb_raw) in timeline {
-            let xmit = link.send_traced(scale(ready_raw), bytes);
-            if !ctx.is_none() {
-                self.metrics.registry.tracer().record_sim(
-                    obs::names::TRACE_LINK_XMIT,
-                    ctx,
-                    link_node,
-                    xmit.start_ns,
-                    xmit.end_ns,
-                    &[("bytes", bytes)],
-                );
-            }
-            absorber_free = absorber_free.max(xmit.arrival_ns) + scale(absorb_raw);
-            total_bytes += bytes;
-            chunk_bytes.push(bytes);
-        }
-        let pipelined_ns = absorber_free + scale(fixup_raw_ns);
-        let sequential_ns =
-            scale(produce_raw_ns) + self.cfg.sim.net_ns(total_bytes) + scale(absorb_raw_total_ns);
-        PipelineReport {
-            send_stats,
-            recv_stats,
-            chunk_bytes,
-            pipelined_ns,
-            sequential_ns,
-            produce_ns: scale(produce_raw_ns),
-            wire_ns: link.busy_ns(),
-            absorb_ns: scale(absorb_raw_total_ns),
-            sender_stall_ns,
-            receiver_stall_ns,
-            pool_hits,
-            pool_misses,
-            max_in_flight,
-            mode: TransferMode::Pipelined,
-            workers: 1,
-            steals: 0,
+            max_in_flight: run.max_in_flight,
+            mode: run.mode,
+            workers: run.lanes.len() as u64,
+            steals: run.steals,
             link_utilization_pct: link.utilization_pct(pipelined_ns),
         }
     }
@@ -1493,33 +1169,94 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_chunking_moves_the_limit_with_stalls() {
-        let engine = PipelineEngine::new(PipelineConfig {
-            chunk_limit: 64 << 10,
-            adaptive_chunking: true,
-            ..PipelineConfig::default()
+    fn update_hooks_fire_once_per_instance_in_every_mode() {
+        use std::sync::atomic::AtomicUsize;
+        let calls = Arc::new(AtomicUsize::new(0));
+        let hooks = UpdateRegistry::new();
+        let counter = Arc::clone(&calls);
+        hooks.register_update(mheap::stdlib::INTEGER, move |vm, obj| {
+            counter.fetch_add(1, Ordering::Relaxed);
+            let v = vm.get_int(obj, "value").map_err(Error::Heap)?;
+            vm.set_int(obj, "value", v + 1000).map_err(Error::Heap)
         });
-        assert_eq!(engine.effective_chunk_limit(), 64 << 10);
-        // Sender-stall dominance grows the chunks…
-        engine.adapt_chunk_limit(10_000, 1_000);
-        assert_eq!(engine.effective_chunk_limit(), 128 << 10);
-        // …balanced stalls hold steady…
-        engine.adapt_chunk_limit(5_000, 4_000);
-        assert_eq!(engine.effective_chunk_limit(), 128 << 10);
-        // …receiver-stall dominance shrinks, and the floor holds.
-        for _ in 0..10 {
-            engine.adapt_chunk_limit(0, 10_000);
+        // 48 roots, one Integer each: bare (flat) or inside a Pair. Returns
+        // the values the receiver reads back and the mode taken (`None`
+        // for the sequential reference).
+        let receive = |engine: Option<&PipelineEngine>, flat: bool| {
+            let (dir, mut s, mut r) = env();
+            let roots: Vec<Addr> = (0..48)
+                .map(|i| {
+                    let int = s.new_integer(i).unwrap();
+                    if flat {
+                        int
+                    } else {
+                        s.new_pair(int, Addr::NULL).unwrap()
+                    }
+                })
+                .collect();
+            calls.store(0, Ordering::Relaxed);
+            let (got, mode) = match engine {
+                Some(e) => {
+                    let (got, report) = e
+                        .transfer(
+                            &s,
+                            &mut r,
+                            &dir,
+                            NodeId(0),
+                            NodeId(1),
+                            1,
+                            1,
+                            &roots,
+                            Some(&hooks),
+                        )
+                        .unwrap();
+                    (got, Some(report.mode))
+                }
+                None => {
+                    let cfg = SendConfig { chunk_limit: 256, ..SendConfig::for_vm(&s) };
+                    let got = sequential_transfer(
+                        &s,
+                        &mut r,
+                        &dir,
+                        NodeId(0),
+                        NodeId(1),
+                        1,
+                        1,
+                        &roots,
+                        Some(&hooks),
+                        cfg,
+                    )
+                    .unwrap()
+                    .0;
+                    (got, None)
+                }
+            };
+            assert_eq!(calls.load(Ordering::Relaxed), 48, "{mode:?}: one call per Integer");
+            assert_eq!(r.verify_heap().unwrap(), vec![], "{mode:?}");
+            let values: Vec<i32> = got
+                .iter()
+                .map(|&a| {
+                    let int = if flat { a } else { r.get_ref(a, "first").unwrap() };
+                    r.get_int(int, "value").unwrap()
+                })
+                .collect();
+            (values, mode)
+        };
+        let want: Vec<i32> = (1000..1048).collect();
+        assert_eq!(receive(None, true).0, want);
+        assert_eq!(receive(None, false).0, want);
+
+        let small = PipelineConfig { chunk_limit: 256, ..PipelineConfig::default() };
+        let par = ParallelConfig { workers: 4, min_roots_per_worker: 1, ..Default::default() };
+        for (cfg, flat, mode) in [
+            (PipelineConfig::default(), true, TransferMode::Inline),
+            (small, false, TransferMode::Pipelined),
+            (PipelineConfig { parallel: Some(par), ..small }, false, TransferMode::Parallel),
+        ] {
+            let (values, got_mode) = receive(Some(&PipelineEngine::new(cfg)), flat);
+            assert_eq!(got_mode, Some(mode));
+            assert_eq!(values, want, "{mode:?}");
         }
-        assert_eq!(engine.effective_chunk_limit(), MIN_ADAPTIVE_CHUNK);
-        // The ceiling holds too.
-        for _ in 0..10 {
-            engine.adapt_chunk_limit(10_000, 0);
-        }
-        assert_eq!(engine.effective_chunk_limit(), MAX_ADAPTIVE_CHUNK);
-        // Without the opt-in flag the configured limit is authoritative.
-        let fixed = PipelineEngine::new(PipelineConfig::default());
-        fixed.adapt_chunk_limit(10_000, 0);
-        assert_eq!(fixed.effective_chunk_limit(), DEFAULT_PIPELINE_CHUNK);
     }
 
     #[test]

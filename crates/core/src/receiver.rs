@@ -14,13 +14,20 @@
 //! * card-table entries covering the buffers are dirtied so the collector
 //!   accounts for the new pointers.
 //!
-//! Two front ends share one absorption core: [`GraphReceiver`] owns a
-//! `&mut Vm` and completes a stream end to end (allocation, scan, card
-//! batch, hooks), while [`StreamAbsorber`] runs the same scan over a
-//! shared `&Vm` — N of them absorb concurrent streams of one parallel
-//! transfer, each allocating input buffers through the heap's shared
-//! old-generation window, and hand their heap-mutating leftovers (card
-//! spans, update hooks) back to the coordinator as a [`StreamIn`].
+//! Two front ends share one absorption core and one finish:
+//!
+//! * [`GraphReceiver`] owns a `&mut Vm` and completes one stream end to
+//!   end — the wire paths (serializer, socket and file streams, the
+//!   sequential reference transfer) and the engine's inline mode use it;
+//! * [`StreamAbsorber`] runs the same scan over a shared `&Vm` — each lane
+//!   of an engine transfer absorbs its stream concurrently, allocating
+//!   input buffers through the heap's shared old-generation window.
+//!
+//! Both end a stream the same way: the core drains the stream's own
+//! cross-chunk fixups into a [`StreamIn`], and [`StreamIn::finish`] —
+//! run once the caller holds `&mut Vm` again, over one stream or the
+//! merge of every lane's — dirties the card table in one batch and
+//! applies update hooks.
 
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
@@ -102,7 +109,6 @@ struct ReceiverMetrics {
     chunks: Arc<obs::Counter>,
     ref_fixups: Arc<obs::Counter>,
     classes_loaded: Arc<obs::Counter>,
-    cards_dirtied: Arc<obs::Counter>,
     chunk_bytes: Arc<obs::Histogram>,
 }
 
@@ -114,7 +120,6 @@ impl ReceiverMetrics {
             chunks: registry.counter(obs::names::RECEIVER_CHUNKS_ABSORBED),
             ref_fixups: registry.counter(obs::names::RECEIVER_REF_FIXUPS),
             classes_loaded: registry.counter(obs::names::RECEIVER_CLASSES_LOADED),
-            cards_dirtied: registry.counter(obs::names::RECEIVER_CARDS_DIRTIED),
             chunk_bytes: registry.histogram(obs::names::RECEIVER_CHUNK_BYTES),
             registry,
         }
@@ -241,8 +246,13 @@ impl<'d> AbsorbCore<'d> {
     /// first chunk whose end lies past `logical` either contains it or does
     /// not exist — any offset at or past the received byte count (and any
     /// offset against an empty chunk list) is dangling, never clamped to
-    /// the last chunk.
+    /// the last chunk. Every object starts on the stream's 8-byte grid, so
+    /// an off-grid offset is corrupt input, rejected before it becomes a
+    /// heap pointer.
     fn translate(&self, logical: u64) -> Result<Addr> {
+        if !logical.is_multiple_of(8) {
+            return Err(Error::MisalignedRelativeAddr(logical));
+        }
         let idx = self.chunks.partition_point(|c| c.logical_start + c.len <= logical);
         let c = self.chunks.get(idx).ok_or(Error::DanglingRelativeAddr(logical))?;
         debug_assert!(logical >= c.logical_start, "chunk ranges are gapless from 0");
@@ -435,12 +445,22 @@ impl<'d> AbsorbCore<'d> {
         Ok(())
     }
 
-    /// Drains this stream's own cross-chunk fixups — every chunk of the
-    /// stream has arrived, so any still-unresolved target is genuinely
-    /// dangling. Streams are self-contained (relative addresses never
-    /// cross streams), so each parallel absorber drains its own list.
-    fn drain_fixups(&mut self, vm: &Vm) -> Result<u64> {
-        let n = (self.ref_fixups.len() + self.root_fixups.len()) as u64;
+    /// Ends the stream: absorbs any chunks not yet absorbed, then drains
+    /// the stream's own cross-chunk fixups — every chunk has arrived, so
+    /// any still-unresolved target is genuinely dangling. Streams are
+    /// self-contained (relative addresses never cross streams), so each
+    /// lane's absorber drains its own list. Returns the roots plus the
+    /// heap-mutating leftovers for [`StreamIn::finish`].
+    fn finish_stream(&mut self, vm: &Vm, hooks: Option<&UpdateRegistry>) -> Result<StreamIn> {
+        self.absorb_ready(vm, hooks)?;
+        let registry = Arc::clone(&self.metrics.registry);
+        let mut span = registry.tracer().start_on(
+            obs::names::TRACE_RECEIVER_FIXUP,
+            self.trace_ctx,
+            &vm.name,
+            self.lane,
+        );
+        span.annotate("fixups", (self.ref_fixups.len() + self.root_fixups.len()) as u64);
         for (slot, logical) in std::mem::take(&mut self.ref_fixups) {
             let abs = self.translate(logical)?;
             vm.heap().arena().store_word(slot, abs.0).map_err(Error::Heap)?;
@@ -449,17 +469,18 @@ impl<'d> AbsorbCore<'d> {
             let abs = self.translate(logical)?;
             self.roots[idx] = abs;
         }
-        Ok(n)
+        drop(span);
+        Ok(StreamIn {
+            roots: std::mem::take(&mut self.roots),
+            stats: self.stats,
+            card_spans: std::mem::take(&mut self.card_spans),
+            pending_hooks: std::mem::take(&mut self.pending_hooks),
+        })
     }
 }
 
-/// The receiver side of one stream: accumulates chunks and absolutizes
-/// them — either in one pass at [`GraphReceiver::finish`] (the sequential
-/// path) or chunk by chunk as they arrive via
-/// [`GraphReceiver::absorb_ready`] (the pipelined path). Incremental
-/// absorption resolves every intra-chunk and backward reference on the
-/// spot; forward references into chunks that have not arrived yet go onto
-/// a short fixup list drained in `finish`.
+/// The receiver side of one stream over a `&mut Vm`: accumulates chunks
+/// and absolutizes them in one pass at [`GraphReceiver::finish`].
 pub struct GraphReceiver<'a> {
     vm: &'a mut Vm,
     core: AbsorbCore<'a>,
@@ -532,26 +553,9 @@ impl<'a> GraphReceiver<'a> {
         self.core.translate(logical)
     }
 
-    /// Absolutizes every chunk placed so far but not yet absorbed (see
-    /// [`AbsorbCore::absorb_ready`] semantics described on
-    /// [`GraphReceiver`]).
-    ///
-    /// # Errors
-    /// Corrupt-stream and heap errors.
-    pub fn absorb_ready(&mut self, hooks: Option<&UpdateRegistry>) -> Result<()> {
-        self.core.absorb_ready(self.vm, hooks)
-    }
-
-    /// Number of forward references still awaiting their target chunk
-    /// (pipeline diagnostics).
-    pub fn pending_fixups(&self) -> usize {
-        self.core.ref_fixups.len() + self.core.root_fixups.len()
-    }
-
-    /// Completes the receive: absolutizes any chunks not yet absorbed,
-    /// drains the cross-chunk fixup lists, dirties the card table in one
-    /// batch, and applies update hooks. Returns the root objects in
-    /// arrival order, plus statistics.
+    /// Completes the receive: absolutizes every chunk, drains the
+    /// cross-chunk fixup lists, then runs [`StreamIn::finish`]. Returns
+    /// the root objects in arrival order, plus statistics.
     ///
     /// The returned roots are *not yet GC roots*: callers must register
     /// them (handles) before any further allocation on this VM.
@@ -559,47 +563,15 @@ impl<'a> GraphReceiver<'a> {
     /// # Errors
     /// Corrupt-stream and heap errors.
     pub fn finish(mut self, hooks: Option<&UpdateRegistry>) -> Result<(Vec<Addr>, ReceiveStats)> {
-        self.core.absorb_ready(self.vm, hooks)?;
-        let traced = if self.core.trace_ctx.is_none() {
-            None
-        } else {
-            Some((Arc::clone(&self.core.metrics.registry), self.vm.name.clone()))
-        };
-        // Cross-chunk forward references: every chunk has arrived now, so
-        // any still-unresolved target is genuinely dangling.
-        let mut fixup_span = traced.as_ref().map(|(reg, node)| {
-            reg.tracer().start(obs::names::TRACE_RECEIVER_FIXUP, self.core.trace_ctx, node)
-        });
-        let n_fixups = self.core.drain_fixups(self.vm)?;
-        if let Some(s) = &mut fixup_span {
-            s.annotate("fixups", n_fixups);
-        }
-        drop(fixup_span);
-        // One batched card-table pass over all absorbed ranges: tell the GC.
-        let mut card_span = traced.as_ref().map(|(reg, node)| {
-            reg.tracer().start(obs::names::TRACE_RECEIVER_CARD_DIRTY, self.core.trace_ctx, node)
-        });
-        let cards = self.vm.heap_mut().dirty_card_batch(&self.core.card_spans);
-        self.core.stats.cards_dirtied += cards;
-        self.core.metrics.cards_dirtied.add(cards);
-        if let Some(s) = &mut card_span {
-            s.annotate("cards", cards);
-        }
-        drop(card_span);
-        // Post-transfer field updates (§3.3 registerUpdate).
-        if let Some(h) = hooks {
-            for (obj, idx) in std::mem::take(&mut self.core.pending_hooks) {
-                h.apply(self.vm, obj, idx)?;
-            }
-        }
-        Ok((std::mem::take(&mut self.core.roots), self.core.stats))
+        let stream = self.core.finish_stream(self.vm, hooks)?;
+        stream.finish(self.vm, hooks, &self.core.metrics.registry, self.core.trace_ctx)
     }
 }
 
-/// A finished parallel stream's receiver-side output: its roots (in
-/// emission order), statistics, and the heap-mutating leftovers the
-/// coordinator applies once it regains `&mut Vm` — card-table spans and
-/// pending update hooks.
+/// A received stream — or the merge of every lane's stream of one engine
+/// transfer — awaiting the heap-mutating finish work that needs
+/// `&mut Vm`: its roots (in emission order), statistics, card-table spans
+/// and pending update hooks.
 #[derive(Debug)]
 pub struct StreamIn {
     /// Roots recovered from this stream, in emission order.
@@ -612,12 +584,43 @@ pub struct StreamIn {
     pub pending_hooks: Vec<(Addr, usize)>,
 }
 
-/// One stream's absorber in a parallel transfer: the same scan as
-/// [`GraphReceiver`] but over a shared `&Vm`, allocating input buffers
-/// through the heap's shared old-generation window
-/// ([`mheap::Heap::begin_shared_old_alloc`] must be open). Heap-mutating
-/// finish work (card batch, hooks) is returned as a [`StreamIn`] for the
-/// coordinator instead of being applied here.
+impl StreamIn {
+    /// The receive finish every front end shares: one batched card-table
+    /// pass over all absorbed ranges (traced as a card-dirty span under
+    /// `ctx`, counted into `registry`), then the post-transfer field
+    /// updates (§3.3 registerUpdate). Returns the roots and statistics.
+    ///
+    /// # Errors
+    /// Errors returned by an update hook.
+    pub fn finish(
+        mut self,
+        vm: &mut Vm,
+        hooks: Option<&UpdateRegistry>,
+        registry: &obs::Registry,
+        ctx: obs::TraceCtx,
+    ) -> Result<(Vec<Addr>, ReceiveStats)> {
+        let mut span =
+            registry.tracer().start(obs::names::TRACE_RECEIVER_CARD_DIRTY, ctx, &vm.name);
+        let cards = vm.heap_mut().dirty_card_batch(&self.card_spans);
+        self.stats.cards_dirtied += cards;
+        registry.counter(obs::names::RECEIVER_CARDS_DIRTIED).add(cards);
+        span.annotate("cards", cards);
+        drop(span);
+        if let Some(h) = hooks {
+            for (obj, idx) in self.pending_hooks {
+                h.apply(vm, obj, idx)?;
+            }
+        }
+        Ok((self.roots, self.stats))
+    }
+}
+
+/// One lane's absorber in an engine transfer: the same scan as
+/// [`GraphReceiver`] but over a shared `&Vm`, chunk by chunk as they
+/// arrive, allocating input buffers through the heap's shared
+/// old-generation window ([`mheap::Heap::begin_shared_old_alloc`] must be
+/// open). Heap-mutating finish work (card batch, hooks) is returned as a
+/// [`StreamIn`] for the coordinator instead of being applied here.
 pub struct StreamAbsorber<'a> {
     vm: &'a Vm,
     core: AbsorbCore<'a>,
@@ -674,7 +677,8 @@ impl<'a> StreamAbsorber<'a> {
         Ok(())
     }
 
-    /// Absolutizes every chunk placed so far but not yet absorbed.
+    /// Absolutizes every chunk placed so far but not yet absorbed, so
+    /// absorption overlaps the transfer of later chunks.
     ///
     /// # Errors
     /// Corrupt-stream and heap errors.
@@ -683,38 +687,13 @@ impl<'a> StreamAbsorber<'a> {
     }
 
     /// Completes this stream: absorbs remaining chunks and drains its own
-    /// cross-chunk fixups (streams are self-contained — relative
-    /// addresses never cross streams), returning the roots plus the
-    /// heap-mutating leftovers for the coordinator.
+    /// cross-chunk fixups, returning the roots plus the heap-mutating
+    /// leftovers for [`StreamIn::finish`].
     ///
     /// # Errors
     /// Corrupt-stream and heap errors.
     pub fn finish_stream(mut self, hooks: Option<&UpdateRegistry>) -> Result<StreamIn> {
-        self.core.absorb_ready(self.vm, hooks)?;
-        let traced = if self.core.trace_ctx.is_none() {
-            None
-        } else {
-            Some((Arc::clone(&self.core.metrics.registry), self.vm.name.clone()))
-        };
-        let mut fixup_span = traced.as_ref().map(|(reg, node)| {
-            reg.tracer().start_on(
-                obs::names::TRACE_RECEIVER_FIXUP,
-                self.core.trace_ctx,
-                node,
-                self.core.lane,
-            )
-        });
-        let n_fixups = self.core.drain_fixups(self.vm)?;
-        if let Some(s) = &mut fixup_span {
-            s.annotate("fixups", n_fixups);
-        }
-        drop(fixup_span);
-        Ok(StreamIn {
-            roots: std::mem::take(&mut self.core.roots),
-            stats: self.core.stats,
-            card_spans: std::mem::take(&mut self.core.card_spans),
-            pending_hooks: std::mem::take(&mut self.core.pending_hooks),
-        })
+        self.core.finish_stream(self.vm, hooks)
     }
 }
 
@@ -746,12 +725,14 @@ mod tests {
         r.push_chunk(&[0u8; 16]).unwrap();
         // In-range logicals resolve, and stay contiguous across chunks.
         let a0 = r.translate(0).unwrap();
-        let a31 = r.translate(31).unwrap();
-        assert_eq!(a31.0 - a0.0, 31);
+        let a24 = r.translate(24).unwrap();
+        assert_eq!(a24.0 - a0.0, 24);
         assert!(r.translate(32).is_ok());
-        assert!(r.translate(47).is_ok());
+        assert!(r.translate(40).is_ok());
         // One past the end of the last chunk must not clamp to it.
         assert!(matches!(r.translate(48), Err(Error::DanglingRelativeAddr(48))));
-        assert!(matches!(r.translate(u64::MAX - 1), Err(Error::DanglingRelativeAddr(_))));
+        assert!(matches!(r.translate(u64::MAX - 7), Err(Error::DanglingRelativeAddr(_))));
+        // In range but off the object grid.
+        assert!(matches!(r.translate(31), Err(Error::MisalignedRelativeAddr(31))));
     }
 }

@@ -748,7 +748,7 @@ impl<'a> GraphSender<'a> {
     }
 
     /// The sending VM's node name (span labeling).
-    pub(crate) fn node_name(&self) -> &str {
+    pub(crate) fn node_name(&self) -> &'a str {
         &self.vm.name
     }
 
@@ -830,9 +830,22 @@ impl StealSet {
         StealSet { queues, steal_batch: steal_batch.max(1), steals: AtomicU64::new(0) }
     }
 
-    /// Pops the next root from `me`'s own queue.
-    pub(crate) fn pop_local(&self, me: usize) -> Option<(u32, Addr)> {
-        self.queues[me].lock().pop_front()
+    /// The claim loop every work-stealing sender runs: the next
+    /// `(original index, root)` for worker `me` — from its own queue
+    /// first, else after stealing a batch from a victim — or `None` once
+    /// every queue is empty, which ends the worker. A steal is recorded
+    /// on `sender`'s lane once the worker has opened its stream.
+    pub(crate) fn next(&self, me: usize, sender: Option<&GraphSender<'_>>) -> Option<(u32, Addr)> {
+        loop {
+            if let Some(item) = self.queues[me].lock().pop_front() {
+                return Some(item);
+            }
+            let t0 = std::time::Instant::now();
+            let (victim, batch) = self.steal(me)?;
+            if let Some(s) = sender {
+                s.note_steal(victim, batch, t0.elapsed().as_nanos() as u64);
+            }
+        }
     }
 
     /// Steals up to half of some victim's queue into `me`'s queue,
@@ -840,7 +853,7 @@ impl StealSet {
     /// queue is empty (at which point no new roots can ever appear —
     /// traversal-discovered objects live in each sender's private BFS
     /// queue, never here — so `None` is the termination signal).
-    pub(crate) fn steal(&self, me: usize) -> Option<(usize, usize)> {
+    fn steal(&self, me: usize) -> Option<(usize, usize)> {
         let n = self.queues.len();
         for i in 1..n {
             let victim = (me + i) % n;
@@ -915,37 +928,19 @@ pub fn send_roots_parallel(
                 scope.spawn(move || -> Result<WorkerStream> {
                     let mut sender: Option<GraphSender<'_>> = None;
                     let mut order: Vec<u32> = Vec::new();
-                    loop {
-                        let (idx, root) = match steal_set.pop_local(t) {
-                            Some(item) => item,
-                            None => {
-                                let t0 = std::time::Instant::now();
-                                match steal_set.steal(t) {
-                                    Some((victim, batch)) => {
-                                        if let Some(s) = sender.as_ref() {
-                                            s.note_steal(
-                                                victim,
-                                                batch,
-                                                t0.elapsed().as_nanos() as u64,
-                                            );
-                                        }
-                                        continue;
-                                    }
-                                    None => break,
-                                }
+                    while let Some((idx, root)) = steal_set.next(t, sender.as_ref()) {
+                        let s = match &mut sender {
+                            Some(s) => s,
+                            none => {
+                                let stream = stream_base.wrapping_add(t as u16);
+                                none.insert(
+                                    GraphSender::new(vm, dir, node, sid, stream, cfg)?
+                                        .with_lane(t as u32 + 1),
+                                )
                             }
                         };
-                        if sender.is_none() {
-                            let stream = stream_base.wrapping_add(t as u16);
-                            sender = Some(
-                                GraphSender::new(vm, dir, node, sid, stream, cfg)?
-                                    .with_lane(t as u32 + 1),
-                            );
-                        }
-                        if let Some(s) = sender.as_mut() {
-                            s.write_root(root)?;
-                            order.push(idx);
-                        }
+                        s.write_root(root)?;
+                        order.push(idx);
                     }
                     Ok(sender.map(|s| (s.finish(), order)))
                 })

@@ -490,6 +490,35 @@ fn corrupt_stream_is_an_error() {
 }
 
 #[test]
+fn misaligned_relative_addresses_are_rejected() {
+    let (dir, mut sender, _) = setup_pair();
+    let s = sender.new_string("on the grid").unwrap();
+    let value_off = sender.ref_slots(s).unwrap()[0] as usize;
+    let mut p = Profile::new();
+    // The string twice: the repeat goes out as a top reference.
+    let blob = skyway_for(&dir, 0).serialize(&mut sender, &[s, s], &mut p).unwrap();
+    let (flags, chunks) = skyway::buffer::parse_frames(&blob).unwrap();
+    assert_eq!(chunks.len(), 1);
+    let chunk = chunks[0].to_vec();
+    let word = |c: &[u8], at: usize| u64::from_le_bytes(c[at..at + 8].try_into().unwrap());
+    // Top mark, then the string at logical 8, its char array, and last the
+    // top reference to logical 8 (stored as logical + 1).
+    let top_ref = chunk.len() - 8;
+    assert_eq!(word(&chunk, top_ref), 8 + 1);
+    for (at, what) in [(8 + value_off, "ref slot"), (top_ref, "top reference")] {
+        // Still inside the stream, but 4 bytes off the object grid.
+        let mut bad = chunk.clone();
+        let v = word(&bad, at) + 4;
+        bad[at..at + 8].copy_from_slice(&v.to_le_bytes());
+        let blob = skyway::buffer::frame_chunks(&[bad], flags);
+        let mut receiver = Vm::new("n1", &HeapConfig::default(), classpath()).unwrap();
+        let err = skyway_for(&dir, 1).deserialize(&mut receiver, &blob, &mut p).unwrap_err();
+        let want = skyway::Error::MisalignedRelativeAddr(v - 1).to_string();
+        assert!(matches!(&err, serlab::Error::Malformed(m) if *m == want), "{what}: {err:?}");
+    }
+}
+
+#[test]
 fn skyway_emits_more_bytes_than_kryo_but_no_invocations() {
     // The paper's trade-off in one test: more bytes, zero S/D calls.
     let (dir, mut sender, _) = setup_pair();

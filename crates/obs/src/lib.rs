@@ -52,17 +52,13 @@ pub mod names {
     /// Counter: transfers the adaptive policy ran on the inline
     /// (single-chunk, no-overlap) path.
     pub const PIPELINE_MODE_INLINE: &str = "skyway.pipeline.mode_inline";
-    /// Counter: transfers the adaptive policy ran on the single-stream
-    /// pipelined path.
+    /// Counter: transfers the engine ran as one lane.
     pub const PIPELINE_MODE_PIPELINED: &str = "skyway.pipeline.mode_pipelined";
-    /// Counter: transfers the adaptive policy ran on the work-stealing
-    /// parallel path.
+    /// Counter: transfers the engine ran as several work-stealing lanes.
     pub const PIPELINE_MODE_PARALLEL: &str = "skyway.pipeline.mode_parallel";
     /// Counter: transfers that took the same-node zero-copy shared-segment
     /// path instead of any cloning mode.
     pub const PIPELINE_MODE_SHARED: &str = "skyway.pipeline.mode_shared";
-    /// Gauge: the engine's current adaptive chunk limit in bytes.
-    pub const PIPELINE_CHUNK_LIMIT: &str = "skyway.pipeline.chunk_limit";
 
     /// Counter: objects visited by the sender's closure traversal.
     pub const SENDER_OBJECTS_VISITED: &str = "skyway.sender.objects_visited";

@@ -641,8 +641,12 @@ impl SparkCluster {
                         // Heap-to-heap, chunk-granularity: no intermediate
                         // blob, no spill; simulated cost charged from the
                         // overlap-aware stream schedule.
+                        // Engine lane `t` sends as stream `stream + t`:
+                        // reserve one id per lane so consecutive transfers
+                        // of this phase never share a stream.
+                        let lanes = engine.config().parallel.map_or(1, |p| p.workers);
                         let sid = self.controllers[node.0].sid();
-                        let stream = self.controllers[node.0].next_stream();
+                        let stream = self.controllers[node.0].next_stream_block(lanes as u16);
                         let ctx = self.controllers[node.0].begin_transfer(stage_ctx);
                         let (s_vm, d_vm) = Self::vm_pair(&mut self.vms, node.0, dst.0);
                         let (got, report) = engine

@@ -146,3 +146,66 @@ fn multithreaded_skyway_shuffle_matches_single_threaded() {
     }
     assert_eq!(answers[0], answers[1], "threaded send changed the answer");
 }
+
+#[test]
+fn parallel_pipelined_transfers_in_one_phase_keep_distinct_streams() {
+    // Worker 1 ships two cross-node buckets (keys ≡ 1 and ≡ 2 mod 3) in
+    // one shuffle phase, each through a two-lane engine transfer, and the
+    // records share one string. Lane 0 of the first bucket gets the lower
+    // keys, whose records carry their own bulky strings, so its lane 1
+    // claims the shared string's `baddr` first. The next bucket's lanes
+    // must not reuse that lane's stream id, or they take the claim as
+    // their own and back-reference a stream that never held the string.
+    const SHARED: &str = "shared by every bucket";
+    let mut sc = SparkCluster::new(&SparkConfig {
+        n_workers: 3,
+        serializer: SerializerKind::Skyway,
+        heap_bytes: 24 << 20,
+        pipeline: true,
+        pipeline_workers: 2,
+        ..SparkConfig::default()
+    })
+    .unwrap();
+    let keys: Vec<i32> = (0..96).filter(|k| k % 3 != 0).collect();
+    let owns_its_string = |k: i32| k % 3 == 1 && k < 48;
+    let shared = std::cell::Cell::new(None);
+    let ds = sc
+        .create_dataset(vec![keys, vec![], vec![]], |vm, &k| {
+            let second = if owns_its_string(k) {
+                vm.new_string(&format!("own {k} {}", "o".repeat(16 << 10)))?
+            } else if let Some(h) = shared.get() {
+                vm.resolve(h)?
+            } else {
+                let s = vm.new_string(SHARED)?;
+                shared.set(Some(vm.handle(s)));
+                s
+            };
+            let first = vm.new_integer(k)?;
+            Ok(vm.new_pair(first, second)?)
+        })
+        .unwrap();
+    let out = sc
+        .shuffle(ds, |vm, r| Ok(u64::from(vm.get_int(vm.get_ref(r, "first")?, "value")? as u32)))
+        .unwrap();
+
+    let mut seen = 0;
+    for part in &out.partitions {
+        let vm = sc.vm(part.node);
+        assert_eq!(vm.verify_heap().unwrap(), vec![], "node {:?}", part.node);
+        let list = vm.resolve(part.list).unwrap();
+        for i in 0..vm.list_len(list).unwrap() {
+            let rec = vm.list_get(list, i).unwrap();
+            let k = vm.get_int(vm.get_ref(rec, "first").unwrap(), "value").unwrap();
+            assert_eq!(part.node.0, (k % 3) as usize + 1, "key {k} routed by hash");
+            let s = vm.read_string(vm.get_ref(rec, "second").unwrap()).unwrap();
+            if owns_its_string(k) {
+                assert!(s.starts_with(&format!("own {k} ")), "key {k} read {s:?}");
+            } else {
+                assert_eq!(s, SHARED, "key {k}");
+            }
+            seen += 1;
+        }
+    }
+    assert_eq!(seen, 64);
+    sc.release(out).unwrap();
+}
