@@ -120,6 +120,7 @@ impl Payload {
                 &self.dir,
                 NodeId(0),
                 &self.roots,
+                obs::TraceCtx::NONE,
             )
             .expect("shared transfer");
             let wall = t0.elapsed().as_nanos() as u64;
@@ -135,7 +136,7 @@ impl Payload {
         let seal_base = *store.bases().first().expect("one sealed segment");
         let mut extra_rx = self.receiver("seg-r-extra");
         let t0 = Instant::now();
-        store.attach(&mut extra_rx, seal_base).expect("extra attach");
+        store.attach(&mut extra_rx, seal_base, obs::TraceCtx::NONE).expect("extra attach");
         let extra_attach_ns = t0.elapsed().as_nanos() as u64;
 
         // Parallel-mode CAS losses can duplicate shared objects per

@@ -12,6 +12,8 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use mheap::LayoutSpec;
+
 use crate::{Error, Result};
 
 /// Marker word: the next object in the stream is a top-level (root) object
@@ -266,6 +268,19 @@ impl OutputBuffer {
     }
 }
 
+/// The frame flag bits naming object format `spec`: bit 0 is the `baddr`
+/// header word, bit 1 a 4-byte array length. Higher bits belong to the
+/// framing caller (the serializer's compressed-wire bit).
+pub(crate) fn spec_flags(spec: LayoutSpec) -> u8 {
+    u8::from(spec.with_baddr) | (u8::from(spec.array_len_size == 4) << 1)
+}
+
+/// The object format named by frame flags (inverse of [`spec_flags`];
+/// bits above 1 are ignored).
+pub(crate) fn flags_spec(flags: u8) -> LayoutSpec {
+    LayoutSpec { with_baddr: flags & 1 != 0, array_len_size: if flags & 2 != 0 { 4 } else { 8 } }
+}
+
 /// Frames a finished stream of chunks into one self-describing byte blob
 /// (what a Spark shuffle file or a socket payload carries).
 ///
@@ -366,6 +381,13 @@ pub fn parse_frames_traced(blob: &[u8]) -> Result<(u8, obs::TraceCtx, Vec<&[u8]>
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn spec_flags_roundtrip() {
+        for spec in [LayoutSpec::SKYWAY, LayoutSpec::STOCK, LayoutSpec::COMPACT] {
+            assert_eq!(flags_spec(spec_flags(spec)), spec);
+        }
+    }
 
     #[test]
     fn huge_chunk_count_is_rejected_without_allocating() {

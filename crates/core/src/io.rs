@@ -13,15 +13,11 @@ use mheap::layout::Addr;
 use mheap::Vm;
 use simnet::{Cluster, NodeId};
 
-use crate::buffer::{frame_chunks_traced, parse_frames_traced};
+use crate::buffer::{flags_spec, frame_chunks_traced, parse_frames_traced, spec_flags};
 use crate::registry::TypeDirectory;
 use crate::sender::{GraphSender, SendConfig, SendStats};
 use crate::stream::{ShuffleController, UpdateRegistry};
 use crate::{Error, Result};
-
-fn spec_flags(spec: mheap::LayoutSpec) -> u8 {
-    (u8::from(spec.with_baddr)) | (u8::from(spec.array_len_size == 4) << 1)
-}
 
 /// Writes object graphs into a named file on a node's simulated disk.
 ///
@@ -305,10 +301,7 @@ fn read_blob(
     hooks: Option<&UpdateRegistry>,
 ) -> Result<Vec<Addr>> {
     let (flags, ctx, chunks) = parse_frames_traced(blob)?;
-    let wire = mheap::LayoutSpec {
-        with_baddr: flags & 1 != 0,
-        array_len_size: if flags & 2 != 0 { 4 } else { 8 },
-    };
+    let wire = flags_spec(flags);
     if wire != vm.spec() {
         return Err(Error::SpecMismatch {
             wire: format!("{wire:?}"),

@@ -119,7 +119,8 @@ pub enum Error {
     BadFrame(String),
     /// A relativized reference pointed outside every received chunk.
     DanglingRelativeAddr(u64),
-    /// A relativized reference was off the 8-byte grid objects start on.
+    /// A relativized reference was not on an object start: off the
+    /// 8-byte grid, inside an object, or on a marker.
     MisalignedRelativeAddr(u64),
     /// Sender and receiver object formats disagree.
     SpecMismatch {
@@ -156,7 +157,7 @@ impl std::fmt::Display for Error {
                 write!(f, "relative address {a} outside every received chunk")
             }
             Error::MisalignedRelativeAddr(a) => {
-                write!(f, "relative address {a} is not 8-byte aligned")
+                write!(f, "relative address {a} is not on an object start")
             }
             Error::SpecMismatch { wire, local } => {
                 write!(f, "object format mismatch: stream {wire} vs local {local}")

@@ -150,6 +150,12 @@ struct AbsorbCore<'d> {
     /// Top references whose target chunk had not arrived: (index into
     /// `roots`, logical target).
     root_fixups: Vec<(usize, u64)>,
+    /// One bit per 8-byte word of logical space, set where an object
+    /// starts (≤ received bytes / 64). A reference must land on a set bit.
+    starts: Vec<u64>,
+    /// Targets ahead of the scan inside the current chunk, checked
+    /// against `starts` once the chunk is scanned (capacity reused).
+    chunk_targets: Vec<u64>,
     /// One absorbed range per chunk; cards are dirtied in one batch at
     /// the end instead of object by object during absorption.
     card_spans: Vec<(Addr, u64)>,
@@ -179,6 +185,8 @@ impl<'d> AbsorbCore<'d> {
             roots: Vec::new(),
             ref_fixups: Vec::new(),
             root_fixups: Vec::new(),
+            starts: Vec::new(),
+            chunk_targets: Vec::new(),
             card_spans: Vec::new(),
             next_is_root: false,
             pending_hooks: Vec::new(),
@@ -233,6 +241,7 @@ impl<'d> AbsorbCore<'d> {
     fn note_chunk(&mut self, base: Addr, len: u64) {
         self.chunks.push(ChunkMap { logical_start: self.next_logical, base, len });
         self.next_logical += len;
+        self.starts.resize(self.next_logical.div_ceil(512) as usize, 0);
         self.stats.chunks += 1;
         self.stats.bytes += len;
         self.metrics.chunks.inc();
@@ -259,24 +268,58 @@ impl<'d> AbsorbCore<'d> {
         Ok(c.base.byte_add(logical - c.logical_start))
     }
 
+    /// Rejects a (translated, hence in-range and on-grid) target that the
+    /// scan did not find an object at — the middle of an object, a marker
+    /// or filler. Only valid once the scan has passed `logical`.
+    fn check_start(&self, logical: u64) -> Result<()> {
+        let bit = logical / 8;
+        if self.starts[(bit / 64) as usize] & (1 << (bit % 64)) == 0 {
+            return Err(Error::MisalignedRelativeAddr(logical));
+        }
+        Ok(())
+    }
+
+    /// Translates the target of a reference met at scan position `scanned`
+    /// (every object start below it is known) in a chunk ending at logical
+    /// `chunk_end`. Targets in later chunks return `None`: the caller
+    /// queues them for the fixup drain, which translates and checks them
+    /// once every chunk is scanned. Targets ahead in this chunk are
+    /// checked when the chunk's scan ends.
+    fn resolve_target(
+        &mut self,
+        logical: u64,
+        scanned: u64,
+        chunk_end: u64,
+    ) -> Result<Option<Addr>> {
+        if logical >= chunk_end {
+            return Ok(None);
+        }
+        let abs = self.translate(logical)?;
+        if logical < scanned {
+            self.check_start(logical)?;
+        } else {
+            self.chunk_targets.push(logical);
+        }
+        Ok(Some(abs))
+    }
+
     /// Rewrites one reference slot from a relative to an absolute address.
-    /// A forward reference into a chunk that has not arrived yet is left
-    /// relative and queued on the fixup list for the finish pass.
-    fn absolutize_slot(&mut self, vm: &Vm, obj: Addr, off: u64) -> Result<()> {
-        let slot = obj.0 + off;
+    /// A reference into a later chunk is left relative and queued on the
+    /// fixup list for the finish pass.
+    fn absolutize_slot(&mut self, vm: &Vm, slot: u64, scanned: u64, chunk_end: u64) -> Result<()> {
         let v = vm.heap().arena().load_word(slot).map_err(Error::Heap)?;
         self.stats.ref_fixups += 1;
         self.metrics.ref_fixups.inc();
         if v == 0 {
             return vm.heap().arena().store_word(slot, Addr::NULL.0).map_err(Error::Heap);
         }
-        let logical = v - 1;
-        if logical >= self.next_logical {
-            self.ref_fixups.push((slot, logical));
-            return Ok(());
+        match self.resolve_target(v - 1, scanned, chunk_end)? {
+            Some(abs) => vm.heap().arena().store_word(slot, abs.0).map_err(Error::Heap),
+            None => {
+                self.ref_fixups.push((slot, v - 1));
+                Ok(())
+            }
         }
-        let abs = self.translate(logical)?;
-        vm.heap().arena().store_word(slot, abs.0).map_err(Error::Heap)
     }
 
     fn klass_for_tid(&mut self, vm: &Vm, tid: u32) -> Result<KlassId> {
@@ -292,9 +335,6 @@ impl<'d> AbsorbCore<'d> {
         if vm.klasses().len() > loaded_before {
             self.stats.classes_loaded += 1;
             self.metrics.classes_loaded.inc();
-            self.metrics
-                .registry
-                .record(obs::Event::ClassLoaded { class: name.clone(), tid: u64::from(tid) });
         }
         // Make sure the local klass knows its tid too (it may serve as a
         // sender later).
@@ -330,6 +370,9 @@ impl<'d> AbsorbCore<'d> {
             let objects_before = self.stats.objects;
             let mut at = c.base.0;
             let end = c.base.0 + c.len;
+            let chunk_end = c.logical_start + c.len;
+            // Logical offset of heap address `a` in this chunk.
+            let logical_of = |a: u64| c.logical_start + (a - c.base.0);
             while at < end {
                 let w = vm.heap().arena().load_word(at).map_err(Error::Heap)?;
                 if w == TOP_MARK {
@@ -343,13 +386,12 @@ impl<'d> AbsorbCore<'d> {
                     if l == 0 {
                         return Err(Error::BadFrame("null top reference".into()));
                     }
-                    if l > self.next_logical {
-                        // Top reference into a chunk still in flight.
-                        self.root_fixups.push((self.roots.len(), l - 1));
-                        self.roots.push(Addr::NULL);
-                    } else {
-                        let r = self.translate(l - 1)?;
-                        self.roots.push(r);
+                    match self.resolve_target(l - 1, logical_of(at), chunk_end)? {
+                        Some(r) => self.roots.push(r),
+                        None => {
+                            self.root_fixups.push((self.roots.len(), l - 1));
+                            self.roots.push(Addr::NULL);
+                        }
                     }
                     vm.heap().arena().store_word(at, FILLER_WORD).map_err(Error::Heap)?;
                     vm.heap().arena().store_word(at + 8, FILLER_WORD).map_err(Error::Heap)?;
@@ -399,19 +441,24 @@ impl<'d> AbsorbCore<'d> {
                 if size == 0 || at + size > end {
                     return Err(Error::BadFrame("object spans chunk boundary".into()));
                 }
+                let bit = logical_of(at) / 8;
+                self.starts[(bit / 64) as usize] |= 1 << (bit % 64);
+                // Every object start below the end of this object is now
+                // known: its interior holds none.
+                let scanned = logical_of(at + size);
                 // Absolutize reference slots.
                 match facts.kind {
                     KlassKind::RefArray => {
                         let len = vm.array_len(obj).map_err(Error::Heap)?;
-                        let base = spec.array_header();
+                        let base = at + spec.array_header();
                         for i in 0..len {
-                            self.absolutize_slot(vm, obj, base + i * 8)?;
+                            self.absolutize_slot(vm, base + i * 8, scanned, chunk_end)?;
                         }
                     }
                     KlassKind::Instance => {
                         for i in facts.refs_start..facts.refs_end {
-                            let off = self.ref_offsets[i as usize];
-                            self.absolutize_slot(vm, obj, off)?;
+                            let slot = at + self.ref_offsets[i as usize];
+                            self.absolutize_slot(vm, slot, scanned, chunk_end)?;
                         }
                     }
                     KlassKind::PrimArray(_) => {}
@@ -427,14 +474,14 @@ impl<'d> AbsorbCore<'d> {
                 self.metrics.objects.inc();
                 at += size;
             }
+            for i in 0..self.chunk_targets.len() {
+                self.check_start(self.chunk_targets[i])?;
+            }
+            self.chunk_targets.clear();
             // New pointers now live in the old generation; the card table
             // is updated in one batch at the end (no allocation — and
             // therefore no GC — can happen before the roots are returned).
             self.card_spans.push((c.base, c.len));
-            self.metrics.registry.record(obs::Event::ChunkAbsorbed {
-                bytes: c.len,
-                objects: self.stats.objects - objects_before,
-            });
             if let Some(s) = &mut span {
                 s.annotate("chunk", self.absorbed as u64);
                 s.annotate("bytes", c.len);
@@ -463,10 +510,12 @@ impl<'d> AbsorbCore<'d> {
         span.annotate("fixups", (self.ref_fixups.len() + self.root_fixups.len()) as u64);
         for (slot, logical) in std::mem::take(&mut self.ref_fixups) {
             let abs = self.translate(logical)?;
+            self.check_start(logical)?;
             vm.heap().arena().store_word(slot, abs.0).map_err(Error::Heap)?;
         }
         for (idx, logical) in std::mem::take(&mut self.root_fixups) {
             let abs = self.translate(logical)?;
+            self.check_start(logical)?;
             self.roots[idx] = abs;
         }
         drop(span);

@@ -454,12 +454,11 @@ impl<'a> GraphSender<'a> {
         }
     }
 
-    /// Records one lost `baddr` CAS race in both the per-stream stats and
-    /// the flight recorder.
+    /// Records one lost `baddr` CAS race in the per-stream stats and the
+    /// registry counter.
     fn note_cas_conflict(&mut self) {
         self.stats.cas_conflicts += 1;
         self.metrics.cas_conflicts.inc();
-        self.metrics.registry.record(obs::Event::CasConflict { sid: u32::from(self.sid) });
     }
 
     /// Object size *in the receiver's format* (facts precomputed).
@@ -667,12 +666,7 @@ impl<'a> GraphSender<'a> {
         self.metrics.bytes_cloned.add(self.stats.total_bytes);
         let chunks = self.out.finish();
         for c in &chunks {
-            // Inlined note_chunk_sent: `self.out` is consumed above, so only
-            // field accesses (not whole-`self` methods) are allowed here.
             self.metrics.chunk_bytes.record(c.len() as u64);
-            self.metrics
-                .registry
-                .record(obs::Event::ChunkSent { sid: u32::from(self.sid), bytes: c.len() as u64 });
         }
         StreamOut { stream: self.stream, chunks, stats: self.stats }
     }
@@ -723,17 +717,9 @@ impl<'a> GraphSender<'a> {
             self.close_traverse_burst();
         }
         for c in &chunks {
-            self.note_chunk_sent(c.len());
+            self.metrics.chunk_bytes.record(c.len() as u64);
         }
         chunks
-    }
-
-    /// Records one emitted chunk in the histogram and the flight recorder.
-    fn note_chunk_sent(&self, bytes: usize) {
-        self.metrics.chunk_bytes.record(bytes as u64);
-        self.metrics
-            .registry
-            .record(obs::Event::ChunkSent { sid: u32::from(self.sid), bytes: bytes as u64 });
     }
 
     /// The receiver object format this sender is writing for.

@@ -12,7 +12,7 @@ use std::sync::Arc;
 use mheap::{Addr, LayoutSpec, Vm};
 use simnet::{NodeId, Profile};
 
-use crate::buffer::{frame_chunks, parse_frames};
+use crate::buffer::{flags_spec, frame_chunks, parse_frames, spec_flags};
 use crate::registry::TypeDirectory;
 use crate::sender::{
     send_roots_parallel, GraphSender, ParallelConfig, SendConfig, SendStats, Tracking,
@@ -21,14 +21,6 @@ use crate::stream::{ShuffleController, UpdateRegistry};
 use crate::{Error, Result};
 
 const FLAG_COMPRESSED: u8 = 0b100;
-
-fn spec_flags(spec: LayoutSpec) -> u8 {
-    (u8::from(spec.with_baddr)) | (u8::from(spec.array_len_size == 4) << 1)
-}
-
-fn flags_spec(flags: u8) -> LayoutSpec {
-    LayoutSpec { with_baddr: flags & 1 != 0, array_len_size: if flags & 2 != 0 { 4 } else { 8 } }
-}
 
 /// Skyway as a pluggable serializer for one cluster node.
 #[derive(Debug)]
@@ -130,6 +122,9 @@ impl SkywaySerializer {
             });
         }
         if flags & FLAG_COMPRESSED != 0 {
+            // Compressed wire: expand to the local format first, then
+            // receive the expanded stream as one chunk (objects cannot
+            // span it).
             let local_spec = vm.spec();
             let expanded =
                 crate::compress::expand_stream(vm, &self.dir, self.node, &chunks, local_spec)?;
@@ -240,6 +235,10 @@ impl serlab::Serializer for SkywaySerializer {
         bytes: &[u8],
         _profile: &mut Profile,
     ) -> serlab::Result<Vec<Addr>> {
+        // The blob bounds the bytes it places (uncompressed); making room
+        // now, before any of it is placed, keeps a VM that only receives
+        // from filling its old generation with dead input buffers.
+        vm.reserve_old(bytes.len() as u64).map_err(serlab::Error::Heap)?;
         if bytes.starts_with(b"MSKY") {
             // Multi-stream container: each stream is an independent input
             // buffer set carrying its own root-index table; roots land
@@ -264,8 +263,11 @@ impl serlab::Serializer for SkywaySerializer {
                 };
                 // Pass 1: parse every table and blob boundary before any
                 // heap mutation, so corrupt containers error out with
-                // nothing absorbed.
-                let mut sections: Vec<(Vec<usize>, &[u8])> = Vec::with_capacity(n);
+                // nothing absorbed. Every section costs at least its two
+                // 4-byte headers: the bytes left bound the capacity,
+                // whatever count the header claims.
+                let mut sections: Vec<(Vec<usize>, &[u8])> =
+                    Vec::with_capacity(n.min((bytes.len() - pos) / 8));
                 for _ in 0..n {
                     let count = read_u32(&mut pos)?;
                     if count > bytes.len() / 4 {
@@ -309,43 +311,7 @@ impl serlab::Serializer for SkywaySerializer {
             };
             return run().map_err(to_serlab);
         }
-        let mut run = || -> Result<Vec<Addr>> {
-            let (flags, chunks) = parse_frames(bytes)?;
-            let declared_spec = flags_spec(flags);
-            if flags & FLAG_COMPRESSED != 0 {
-                // Compressed wire: expand to the local format first, then
-                // receive the expanded stream normally.
-                if declared_spec != vm.spec() {
-                    return Err(Error::SpecMismatch {
-                        wire: format!("{declared_spec:?}"),
-                        local: format!("{:?}", vm.spec()),
-                    });
-                }
-                let local_spec = vm.spec();
-                let expanded =
-                    crate::compress::expand_stream(vm, &self.dir, self.node, &chunks, local_spec)?;
-                let mut rx = crate::receiver::GraphReceiver::new(vm, &self.dir, self.node);
-                // Re-chunk the expanded stream at the configured size; the
-                // receiver requires objects not to span chunks, which one
-                // single chunk trivially satisfies.
-                rx.push_chunk(&expanded)?;
-                let (roots, _stats) = rx.finish(self.hooks.as_deref())?;
-                return Ok(roots);
-            }
-            if declared_spec != vm.spec() {
-                return Err(Error::SpecMismatch {
-                    wire: format!("{declared_spec:?}"),
-                    local: format!("{:?}", vm.spec()),
-                });
-            }
-            let mut rx = crate::receiver::GraphReceiver::new(vm, &self.dir, self.node);
-            for c in chunks {
-                rx.push_chunk(c)?;
-            }
-            let (roots, _stats) = rx.finish(self.hooks.as_deref())?;
-            Ok(roots)
-        };
-        run().map_err(to_serlab)
+        self.receive_blob(vm, bytes).map_err(to_serlab)
     }
 
     fn preserves_sharing(&self) -> bool {
@@ -369,17 +335,5 @@ fn to_serlab(e: Error) -> serlab::Error {
     match e {
         Error::Heap(h) => serlab::Error::Heap(h),
         other => serlab::Error::Malformed(other.to_string()),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn spec_flags_roundtrip() {
-        for spec in [LayoutSpec::SKYWAY, LayoutSpec::STOCK, LayoutSpec::COMPACT] {
-            assert_eq!(flags_spec(spec_flags(spec)), spec);
-        }
     }
 }

@@ -1,8 +1,8 @@
 //! End-to-end observability: a known three-object graph goes through a full
 //! `SkywayObjectOutputStream` → `SkywayObjectInputStream` transfer plus a
 //! receiver-side GC, all reporting into one private `obs::Registry`, and the
-//! resulting snapshot carries exact counter values, flight-recorder events,
-//! and survives a JSON round-trip.
+//! resulting snapshot carries exact counter and histogram values and
+//! survives a JSON round-trip.
 
 use std::sync::Arc;
 
@@ -120,12 +120,11 @@ fn full_transfer_reports_exact_metrics_and_roundtrips_as_json() {
     let pause = snap.histograms.get(obs::names::GC_PAUSE_NS).expect("gc pause histogram");
     assert_eq!(pause.count, 1);
 
-    // Flight recorder saw the phases of the transfer.
-    let kinds: Vec<&str> = snap.events.iter().map(|e| e.event.kind()).collect();
-    assert!(kinds.contains(&"chunk_sent"), "events: {kinds:?}");
-    assert!(kinds.contains(&"chunk_absorbed"), "events: {kinds:?}");
-    assert!(kinds.contains(&"class_loaded"), "events: {kinds:?}");
-    assert!(kinds.contains(&"gc_pause"), "events: {kinds:?}");
+    // Every phase of the transfer is visible from metrics alone: one
+    // chunk-size sample per chunk sent; chunk absorption, the on-demand
+    // class load and the GC pause are the receiver and GC checks above.
+    let sent = snap.histograms.get(obs::names::SENDER_CHUNK_BYTES).expect("chunk size histogram");
+    assert_eq!(sent.count, stream_out.chunks.len() as u64);
 
     // Profile bridge made it into the snapshot.
     let sect = snap.profiles.get("test.transfer").expect("profile section");

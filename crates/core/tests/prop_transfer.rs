@@ -141,6 +141,40 @@ fn transfer_env() -> (Arc<TypeDirectory>, Vm, Vm) {
     (dir, sender, receiver)
 }
 
+/// Flips bytes of a serialized graph and deserializes it: corruption must
+/// never panic, and a stream the receiver accepts (flips that only hit
+/// primitive payload or dead padding) must leave a heap `verify_heap`
+/// finds clean.
+fn corrupted_stream_case(spec: &GraphSpec, flips: &[(u16, u8)]) -> TestCaseResult {
+    let (dir, mut sender, mut receiver) = transfer_env();
+    let handles = build(&mut sender, spec);
+    let roots: Vec<Addr> =
+        spec.roots.iter().map(|&i| sender.resolve(handles[i]).unwrap()).collect();
+    let sky_tx = SkywaySerializer::new(
+        Arc::clone(&dir),
+        NodeId(0),
+        Arc::new(ShuffleController::new()),
+        LayoutSpec::SKYWAY,
+    );
+    let sky_rx = SkywaySerializer::new(
+        Arc::clone(&dir),
+        NodeId(1),
+        Arc::new(ShuffleController::new()),
+        LayoutSpec::SKYWAY,
+    );
+    let mut p = Profile::new();
+    let mut bytes = sky_tx.serialize(&mut sender, &roots, &mut p).unwrap();
+    for (pos, val) in flips {
+        let i = *pos as usize % bytes.len();
+        bytes[i] ^= *val | 1;
+    }
+    if sky_rx.deserialize(&mut receiver, &bytes, &mut p).is_ok() {
+        let faults = receiver.verify_heap().unwrap();
+        prop_assert!(faults.is_empty(), "accepted a stream that corrupts the heap: {faults:?}");
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -207,28 +241,7 @@ proptest! {
         spec in graph_spec(20),
         flips in proptest::collection::vec((any::<u16>(), any::<u8>()), 1..6),
     ) {
-        let (dir, mut sender, mut receiver) = transfer_env();
-        let handles = build(&mut sender, &spec);
-        let roots: Vec<Addr> = spec.roots.iter()
-            .map(|&i| sender.resolve(handles[i]).unwrap())
-            .collect();
-        let sky_tx = SkywaySerializer::new(
-            Arc::clone(&dir), NodeId(0), Arc::new(ShuffleController::new()),
-            LayoutSpec::SKYWAY,
-        );
-        let sky_rx = SkywaySerializer::new(
-            Arc::clone(&dir), NodeId(1), Arc::new(ShuffleController::new()),
-            LayoutSpec::SKYWAY,
-        );
-        let mut p = Profile::new();
-        let mut bytes = sky_tx.serialize(&mut sender, &roots, &mut p).unwrap();
-        for (pos, val) in &flips {
-            let i = *pos as usize % bytes.len();
-            bytes[i] ^= *val | 1;
-        }
-        // Corruption must never panic. (An Ok result is possible when the
-        // flips only hit primitive payload or dead padding.)
-        let _ = sky_rx.deserialize(&mut receiver, &bytes, &mut p);
+        corrupted_stream_case(&spec, &flips)?;
     }
 
     #[test]
@@ -257,6 +270,22 @@ proptest! {
         for (i, &r) in rebuilt.iter().enumerate() {
             prop_assert_eq!(receiver.identity_hash(r).unwrap(), hashes[i]);
         }
+    }
+}
+
+// The corruption property at sweep scale (about 15 s in release mode):
+// run with `cargo test --release -p skyway --test prop_transfer -- --ignored`.
+// Its own name seeds its own cases.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(20_000))]
+
+    #[test]
+    #[ignore = "20 000-case sweep; run with --ignored in release mode"]
+    fn corrupted_skyway_streams_sweep(
+        spec in graph_spec(20),
+        flips in proptest::collection::vec((any::<u16>(), any::<u8>()), 1..6),
+    ) {
+        corrupted_stream_case(&spec, &flips)?;
     }
 }
 

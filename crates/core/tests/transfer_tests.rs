@@ -7,11 +7,11 @@ use std::sync::Arc;
 use mheap::{Addr, ClassPath, HeapConfig, LayoutSpec, Vm};
 use serlab::jsbs::{build_dataset, define_jsbs_classes, verify_media_content};
 use serlab::Serializer;
-use simnet::{NodeId, Profile};
+use simnet::{Cluster, NodeId, Profile, SimConfig};
 use skyway::{
     scrub_baddrs, send_roots_parallel, ParallelConfig, SendConfig, ShuffleController,
-    SkywayObjectInputStream, SkywayObjectOutputStream, SkywaySerializer, Tracking, TypeDirectory,
-    UpdateRegistry,
+    SkywayFileInputStream, SkywayObjectInputStream, SkywayObjectOutputStream, SkywaySerializer,
+    Tracking, TypeDirectory, UpdateRegistry,
 };
 
 fn classpath() -> Arc<ClassPath> {
@@ -516,6 +516,111 @@ fn misaligned_relative_addresses_are_rejected() {
         let want = skyway::Error::MisalignedRelativeAddr(v - 1).to_string();
         assert!(matches!(&err, serlab::Error::Malformed(m) if *m == want), "{what}: {err:?}");
     }
+}
+
+#[test]
+fn interior_relative_addresses_are_rejected() {
+    let (dir, mut sender, _) = setup_pair();
+    let s = sender.new_string("on the grid").unwrap();
+    let value_off = sender.ref_slots(s).unwrap()[0] as usize;
+    let mut p = Profile::new();
+    // The string twice: the repeat goes out as a top reference.
+    let blob = skyway_for(&dir, 0).serialize(&mut sender, &[s, s], &mut p).unwrap();
+    let (flags, chunks) = skyway::buffer::parse_frames(&blob).unwrap();
+    assert_eq!(chunks.len(), 1);
+    let chunk = chunks[0].to_vec();
+    let word = |c: &[u8], at: usize| u64::from_le_bytes(c[at..at + 8].try_into().unwrap());
+    let top_ref = chunk.len() - 8;
+    assert_eq!(word(&chunk, top_ref), 8 + 1);
+    for (at, what) in [(8 + value_off, "ref slot"), (top_ref, "top reference")] {
+        // On the grid and inside the stream, but one word into an object:
+        // the ref slot's target moves into the char array's header, the
+        // top reference's into the string itself.
+        let mut bad = chunk.clone();
+        let v = word(&bad, at) + 8;
+        bad[at..at + 8].copy_from_slice(&v.to_le_bytes());
+        let blob = skyway::buffer::frame_chunks(&[bad], flags);
+        let mut receiver = Vm::new("n1", &HeapConfig::default(), classpath()).unwrap();
+        let err = skyway_for(&dir, 1).deserialize(&mut receiver, &blob, &mut p).unwrap_err();
+        let want = skyway::Error::MisalignedRelativeAddr(v - 1).to_string();
+        assert!(matches!(&err, serlab::Error::Malformed(m) if *m == want), "{what}: {err:?}");
+    }
+}
+
+#[test]
+fn foreign_object_format_is_a_spec_mismatch() {
+    let (dir, mut sender, _) = setup_pair();
+    let s = sender.new_string("framed for another format").unwrap();
+    let mut p = Profile::new();
+    let blob = skyway_for(&dir, 0).serialize(&mut sender, &[s], &mut p).unwrap();
+    let (flags, chunks) = skyway::buffer::parse_frames(&blob).unwrap();
+    let chunks: Vec<Vec<u8>> = chunks.iter().map(|c| c.to_vec()).collect();
+    // Flag bit 0 is the baddr word: toggled, the frame names a format the
+    // receiver does not run.
+    let foreign_spec =
+        LayoutSpec { with_baddr: !LayoutSpec::SKYWAY.with_baddr, ..LayoutSpec::SKYWAY };
+    let want = skyway::Error::SpecMismatch {
+        wire: format!("{foreign_spec:?}"),
+        local: format!("{:?}", LayoutSpec::SKYWAY),
+    }
+    .to_string();
+    let foreign = skyway::buffer::frame_chunks(&chunks, flags ^ 1);
+    // The same, also flagged as compressed wire (bit 2).
+    let foreign_compressed = skyway::buffer::frame_chunks(&chunks, (flags ^ 1) | 0b100);
+    // A multi-stream container whose one stream carries root 0.
+    let mut msky = b"MSKY".to_vec();
+    msky.extend_from_slice(&1u16.to_le_bytes());
+    msky.extend_from_slice(&1u32.to_le_bytes());
+    msky.extend_from_slice(&0u32.to_le_bytes());
+    msky.extend_from_slice(&(foreign.len() as u32).to_le_bytes());
+    msky.extend_from_slice(&foreign);
+
+    let sky_rx = skyway_for(&dir, 1);
+    let mut receiver = Vm::new("n1", &HeapConfig::default(), classpath()).unwrap();
+    assert!(sky_rx.deserialize(&mut receiver, &blob, &mut p).is_ok(), "the unaltered frame");
+    for (what, bytes) in [
+        ("single stream", &foreign),
+        ("compressed single stream", &foreign_compressed),
+        ("MSKY", &msky),
+    ] {
+        let err = sky_rx.deserialize(&mut receiver, bytes, &mut p).unwrap_err();
+        assert!(matches!(&err, serlab::Error::Malformed(m) if *m == want), "{what}: {err:?}");
+    }
+
+    let mut cluster = Cluster::new(2, SimConfig::default());
+    cluster.disk_write(NodeId(1), "foreign.sort.result", foreign).unwrap();
+    let err = SkywayFileInputStream::open_and_read(
+        &mut receiver,
+        &dir,
+        NodeId(1),
+        &mut cluster,
+        "foreign.sort.result",
+        None,
+    )
+    .unwrap_err();
+    assert_eq!(err.to_string(), want, "file stream");
+}
+
+#[test]
+fn repeated_receives_reclaim_dead_input_buffers() {
+    // A VM that only receives: every blob lands in raw old-generation
+    // input buffers and the results die right away, so nothing on this VM
+    // allocates in the young generation to set off a collection.
+    let (dir, mut sender, _) = setup_pair();
+    let handles = build_dataset(&mut sender, 20).unwrap();
+    let roots: Vec<Addr> = handles.iter().map(|h| sender.resolve(*h).unwrap()).collect();
+    let mut p = Profile::new();
+    let blob = skyway_for(&dir, 0).serialize(&mut sender, &roots, &mut p).unwrap();
+    let mut receiver =
+        Vm::new("n1", &HeapConfig::default().with_capacity(1 << 20), classpath()).unwrap();
+    let sky_rx = skyway_for(&dir, 1);
+    // Twice the heap's capacity in received bytes.
+    for i in 0..2 * (1 << 20) / blob.len() {
+        let got = sky_rx.deserialize(&mut receiver, &blob, &mut p);
+        assert!(got.is_ok(), "receive {i} of a {}-byte blob: {got:?}", blob.len());
+    }
+    assert!(receiver.stats.full_gcs > 0);
+    assert!(receiver.verify_heap().unwrap().is_empty());
 }
 
 #[test]

@@ -85,7 +85,7 @@ pub struct Vm {
     pub(crate) temp_roots: Vec<Addr>,
     /// Statistics (public for reporting).
     pub stats: VmStats,
-    /// Where GC metrics and flight-recorder events are reported.
+    /// Where GC metrics and pause spans are reported.
     pub(crate) metrics: Arc<obs::Registry>,
     /// Trace context of the transfer that last touched this heap, so GC
     /// pauses can be attributed to the task that caused the allocation
@@ -375,6 +375,22 @@ impl Vm {
     fn minor_gc_is_safe(&self) -> bool {
         let young_used = self.heap.eden.used() + self.heap.from_space().used();
         self.heap.old.free() >= young_used
+    }
+
+    /// Makes room for `bytes` of raw old-generation input buffers
+    /// ([`crate::Heap::alloc_raw_old`]), which never set off a collection
+    /// themselves: runs a full collection when the old generation's free
+    /// space is short. Call it before placing a received stream, with
+    /// every earlier result rooted — the collection moves and frees
+    /// unrooted objects.
+    ///
+    /// # Errors
+    /// Collection errors.
+    pub fn reserve_old(&mut self, bytes: u64) -> Result<()> {
+        if self.heap.old.free() < bytes {
+            self.full_gc()?;
+        }
+        Ok(())
     }
 
     fn alloc_raw(&mut self, size: u64) -> Result<Addr> {

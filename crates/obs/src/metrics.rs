@@ -1,5 +1,5 @@
-//! Lock-free metric primitives: counters, gauges, log-bucketed histograms,
-//! and scoped timers.
+//! Lock-free metric primitives: counters, gauges, and log-bucketed
+//! histograms.
 //!
 //! Everything here is updated with relaxed atomics — hot paths (the
 //! sender's per-object visit loop, the receiver's per-slot fixup loop) pay
@@ -8,8 +8,6 @@
 //! state, which is all an observability layer needs.
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::Instant;
 
 /// A monotonically increasing event count.
 #[derive(Debug, Default)]
@@ -207,40 +205,6 @@ impl Histogram {
     }
 }
 
-/// Records wall-clock nanoseconds into a histogram when dropped.
-///
-/// ```
-/// let h = std::sync::Arc::new(obs::Histogram::new());
-/// {
-///     let _t = obs::ScopedTimer::new(std::sync::Arc::clone(&h));
-///     // ... timed work ...
-/// }
-/// assert_eq!(h.count(), 1);
-/// ```
-#[derive(Debug)]
-pub struct ScopedTimer {
-    hist: Arc<Histogram>,
-    start: Instant,
-}
-
-impl ScopedTimer {
-    /// Starts timing now.
-    pub fn new(hist: Arc<Histogram>) -> Self {
-        ScopedTimer { hist, start: Instant::now() }
-    }
-
-    /// Nanoseconds elapsed so far.
-    pub fn elapsed_ns(&self) -> u64 {
-        self.start.elapsed().as_nanos() as u64
-    }
-}
-
-impl Drop for ScopedTimer {
-    fn drop(&mut self) {
-        self.hist.record(self.elapsed_ns());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -272,14 +236,5 @@ mod tests {
         assert_eq!(Histogram::bucket_index(1023), 10);
         assert_eq!(Histogram::bucket_index(1024), 11);
         assert_eq!(Histogram::bucket_index(u64::MAX), 64);
-    }
-
-    #[test]
-    fn scoped_timer_records_on_drop() {
-        let h = Arc::new(Histogram::new());
-        {
-            let _t = ScopedTimer::new(Arc::clone(&h));
-        }
-        assert_eq!(h.count(), 1);
     }
 }

@@ -211,23 +211,13 @@ impl SegStore {
     /// tracking (sealing must not scribble `baddr` words the concurrent
     /// shuffle machinery owns); the stream is then translated in one
     /// linear pass — markers become filler, klass words keep their global
-    /// tIDs, references become absolute segment addresses.
+    /// tIDs, references become absolute segment addresses. Emits a
+    /// `trace.segstore.seal` span under `ctx` when tracing is on
+    /// ([`obs::TraceCtx::NONE`] for an untraced seal).
     ///
     /// # Errors
     /// Sender/registry errors; [`Error::BadStream`] on a malformed stream.
     pub fn seal(
-        &self,
-        vm: &Vm,
-        dir: &TypeDirectory,
-        node: NodeId,
-        roots: &[Addr],
-    ) -> Result<SealReport> {
-        self.seal_traced(vm, dir, node, roots, obs::TraceCtx::NONE)
-    }
-
-    /// [`SegStore::seal`] attributed to trace context `ctx` (emits a
-    /// `trace.segstore.seal` span when tracing is on).
-    pub fn seal_traced(
         &self,
         vm: &Vm,
         dir: &TypeDirectory,
@@ -291,17 +281,12 @@ impl SegStore {
     /// Attaches the segment at `base` to `vm`: maps the sealed memory into
     /// the heap's address space and returns the graph roots (now ordinary
     /// readable addresses in `vm`). Metadata-only — nothing is cloned, no
-    /// card is dirtied, no reference is rewritten.
+    /// card is dirtied, no reference is rewritten. Emits a
+    /// `trace.segstore.attach` span under `ctx` when tracing is on.
     ///
     /// # Errors
     /// [`Error::UnknownSegment`]; heap errors (e.g. double attach).
-    pub fn attach(&self, vm: &mut Vm, base: u64) -> Result<Vec<Addr>> {
-        self.attach_traced(vm, base, obs::TraceCtx::NONE)
-    }
-
-    /// [`SegStore::attach`] attributed to trace context `ctx` (emits a
-    /// `trace.segstore.attach` span when tracing is on).
-    pub fn attach_traced(&self, vm: &mut Vm, base: u64, ctx: obs::TraceCtx) -> Result<Vec<Addr>> {
+    pub fn attach(&self, vm: &mut Vm, base: u64, ctx: obs::TraceCtx) -> Result<Vec<Addr>> {
         let t0 = Instant::now();
         let entry = {
             let inner = self.inner.lock();
@@ -342,17 +327,12 @@ impl SegStore {
     /// Detaches the segment at `base` from `vm` and drops one attacher.
     /// When the last attacher drops, the segment retires into limbo at the
     /// current epoch; its memory survives until a later
-    /// [`SegStore::advance_epoch`] reclaims it.
+    /// [`SegStore::advance_epoch`] reclaims it. Emits a
+    /// `trace.segstore.detach` span under `ctx` when tracing is on.
     ///
     /// # Errors
     /// [`Error::UnknownSegment`]; heap errors (not attached to `vm`).
-    pub fn detach(&self, vm: &mut Vm, base: u64) -> Result<()> {
-        self.detach_traced(vm, base, obs::TraceCtx::NONE)
-    }
-
-    /// [`SegStore::detach`] attributed to trace context `ctx` (emits a
-    /// `trace.segstore.detach` span when tracing is on).
-    pub fn detach_traced(&self, vm: &mut Vm, base: u64, ctx: obs::TraceCtx) -> Result<()> {
+    pub fn detach(&self, vm: &mut Vm, base: u64, ctx: obs::TraceCtx) -> Result<()> {
         let t0 = Instant::now();
         vm.heap_mut().detach_segment(base)?;
         let entry = {
@@ -609,7 +589,8 @@ fn translate_stream(
 /// fourth mode next to the engine's inline/pipelined/parallel policy.
 /// `receive`-side statistics show zero chunks, fixups, and dirtied cards:
 /// that absence *is* the mode's win, and `bytes_not_copied` (the segment
-/// length) lands on the `skyway.segstore.bytes_not_copied` counter.
+/// length) lands on the `skyway.segstore.bytes_not_copied` counter. The
+/// seal and attach spans hang under `parent`.
 ///
 /// # Errors
 /// Seal or attach errors.
@@ -620,26 +601,11 @@ pub fn shared_transfer(
     dir: &TypeDirectory,
     node: NodeId,
     roots: &[Addr],
-) -> Result<(Vec<Addr>, PipelineReport)> {
-    shared_transfer_with_trace(store, sender_vm, receiver_vm, dir, node, roots, obs::TraceCtx::NONE)
-}
-
-/// [`shared_transfer`] attributed to a parent trace context.
-///
-/// # Errors
-/// Seal or attach errors.
-pub fn shared_transfer_with_trace(
-    store: &SegStore,
-    sender_vm: &Vm,
-    receiver_vm: &mut Vm,
-    dir: &TypeDirectory,
-    node: NodeId,
-    roots: &[Addr],
     parent: obs::TraceCtx,
 ) -> Result<(Vec<Addr>, PipelineReport)> {
     let t0 = Instant::now();
-    let seal = store.seal_traced(sender_vm, dir, node, roots, parent)?;
-    let roots_out = store.attach_traced(receiver_vm, seal.base, parent)?;
+    let seal = store.seal(sender_vm, dir, node, roots, parent)?;
+    let roots_out = store.attach(receiver_vm, seal.base, parent)?;
     store.note_shared_mode();
     let wall_ns = t0.elapsed().as_nanos() as u64;
     let recv_stats = ReceiveStats {

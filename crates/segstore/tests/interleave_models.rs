@@ -1,5 +1,5 @@
 //! Interleaving models for the segment store's lock-free refcount retire
-//! path (`SegmentStore::attach_traced` / `release_ref`): attachers bump
+//! path (`SegStore::attach` / `release_ref`): attachers bump
 //! the refcount under the map lock (existence + resurrection guard),
 //! read the mapped segment outside any lock, and decrement with
 //! `fetch_sub(Release)`; the last decrementer takes an `Acquire` fence,
@@ -28,7 +28,7 @@ impl Store {
         Store { map: Mutex::new(false), refs: AtomicU32::new(0), seg: Data::named("segment", 1) }
     }
 
-    /// `attach_traced`: refcount bump under the map lock, like
+    /// `attach`: refcount bump under the map lock, like
     /// `Arc::clone` — the lock proves the entry is still attachable.
     fn attach(&self) -> bool {
         let retired = self.map.lock();

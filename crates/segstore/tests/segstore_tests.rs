@@ -150,7 +150,8 @@ proptest! {
 
         let store = SegStore::new().with_metrics(Arc::new(obs::Registry::new()));
         let (attached, report) =
-            shared_transfer(&store, &sender, &mut receiver, &dir, NodeId(0), &roots).unwrap();
+            shared_transfer(&store, &sender, &mut receiver, &dir, NodeId(0), &roots, obs::TraceCtx::NONE)
+                .unwrap();
 
         prop_assert_eq!(report.mode, TransferMode::Shared);
         prop_assert_eq!(report.recv_stats.chunks, 0);
@@ -197,8 +198,8 @@ fn detach_under_gc_never_reclaims_attached() {
     let want = canonicalize(&sender, roots[0]);
 
     let store = SegStore::new().with_metrics(Arc::new(obs::Registry::new()));
-    let seal = store.seal(&sender, &dir, NodeId(0), &roots).unwrap();
-    let attached = store.attach(&mut receiver, seal.base).unwrap();
+    let seal = store.seal(&sender, &dir, NodeId(0), &roots, obs::TraceCtx::NONE).unwrap();
+    let attached = store.attach(&mut receiver, seal.base, obs::TraceCtx::NONE).unwrap();
     assert_eq!(store.refcount(seal.base), Some(1));
     assert_eq!(receiver.gen_of(attached[0]).unwrap(), Gen::Segment);
 
@@ -221,7 +222,7 @@ fn detach_under_gc_never_reclaims_attached() {
 
     // Detach retires the segment into limbo; it survives the epoch it
     // retired in and is reclaimed by the next advance.
-    store.detach(&mut receiver, seal.base).unwrap();
+    store.detach(&mut receiver, seal.base, obs::TraceCtx::NONE).unwrap();
     assert_eq!(store.refcount(seal.base), None);
     assert!(receiver.gen_of(attached[0]).is_err());
     assert_eq!(store.live_segments(), 1);
@@ -250,7 +251,7 @@ fn broadcast_attaches_share_one_segment() {
 
     let registry = Arc::new(obs::Registry::new());
     let store = SegStore::new().with_metrics(Arc::clone(&registry));
-    let seal = store.seal(&driver, &dir, NodeId(0), &roots).unwrap();
+    let seal = store.seal(&driver, &dir, NodeId(0), &roots, obs::TraceCtx::NONE).unwrap();
 
     const N: usize = 4;
     let mut executors: Vec<Vm> = (0..N)
@@ -258,7 +259,7 @@ fn broadcast_attaches_share_one_segment() {
         .collect();
     let mut per_vm_roots = Vec::new();
     for vm in &mut executors {
-        per_vm_roots.push(store.attach(vm, seal.base).unwrap());
+        per_vm_roots.push(store.attach(vm, seal.base, obs::TraceCtx::NONE).unwrap());
     }
     // One copy, N views.
     assert_eq!(store.refcount(seal.base), Some(N as u32));
@@ -274,7 +275,7 @@ fn broadcast_attaches_share_one_segment() {
         assert_eq!(roots[0], per_vm_roots[0][0]);
     }
     for vm in &mut executors {
-        store.detach(vm, seal.base).unwrap();
+        store.detach(vm, seal.base, obs::TraceCtx::NONE).unwrap();
     }
     assert_eq!(store.advance_epoch(), 1);
     assert_eq!(registry.counter(obs::names::SEGSTORE_RECLAIMED).get(), 1);
@@ -294,12 +295,12 @@ fn double_attach_rolls_back_refcount() {
     let handles = build(&mut sender, &spec);
     let roots = resolve_roots(&sender, &handles, &spec.roots);
     let store = SegStore::new().with_metrics(Arc::new(obs::Registry::new()));
-    let seal = store.seal(&sender, &dir, NodeId(0), &roots).unwrap();
-    store.attach(&mut receiver, seal.base).unwrap();
-    assert!(store.attach(&mut receiver, seal.base).is_err());
+    let seal = store.seal(&sender, &dir, NodeId(0), &roots, obs::TraceCtx::NONE).unwrap();
+    store.attach(&mut receiver, seal.base, obs::TraceCtx::NONE).unwrap();
+    assert!(store.attach(&mut receiver, seal.base, obs::TraceCtx::NONE).is_err());
     assert_eq!(store.refcount(seal.base), Some(1));
     assert!(matches!(
-        store.attach(&mut receiver, seal.base + 0x5555),
+        store.attach(&mut receiver, seal.base + 0x5555, obs::TraceCtx::NONE),
         Err(segstore::Error::UnknownSegment(_))
     ));
 }

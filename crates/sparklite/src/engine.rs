@@ -629,7 +629,7 @@ impl SparkCluster {
                     if !roots.is_empty() {
                         let seal = self
                             .seg_store
-                            .seal_traced(&self.vms[node.0], &self.dir, node, &roots, stage_ctx)
+                            .seal(&self.vms[node.0], &self.dir, node, &roots, stage_ctx)
                             .map_err(Error::Store)?;
                         self.cluster.profile_mut(node).add_ns(Category::Ser, seal.seal_ns);
                         sealed_spills.push((dst_idx, seal.base));
@@ -722,7 +722,7 @@ impl SparkCluster {
                 let t0 = std::time::Instant::now();
                 let roots = self
                     .seg_store
-                    .attach_traced(&mut self.vms[vm_idx], base, stage_ctx)
+                    .attach(&mut self.vms[vm_idx], base, stage_ctx)
                     .map_err(Error::Store)?;
                 adopt_roots(&mut self.vms[vm_idx], &roots, lh)?;
                 self.seg_store.note_shared_mode();
@@ -800,7 +800,9 @@ impl SparkCluster {
     /// Heap/store errors.
     pub fn reclaim_shared_spills(&mut self) -> Result<usize> {
         for (node, base) in std::mem::take(&mut self.attached_spills) {
-            self.seg_store.detach(&mut self.vms[node.0], base).map_err(Error::Store)?;
+            self.seg_store
+                .detach(&mut self.vms[node.0], base, obs::TraceCtx::NONE)
+                .map_err(Error::Store)?;
         }
         Ok(self.seg_store.advance_epoch())
     }
@@ -821,13 +823,16 @@ impl SparkCluster {
         let root = driver.resolve(h).map_err(Error::Heap)?;
         let seal = self
             .seg_store
-            .seal(&self.vms[0], &self.dir, NodeId(0), &[root])
+            .seal(&self.vms[0], &self.dir, NodeId(0), &[root], obs::TraceCtx::NONE)
             .map_err(Error::Store)?;
         self.vms[0].release(h).map_err(Error::Heap)?;
         self.cluster.profile_mut(NodeId(0)).add_ns(Category::Ser, seal.seal_ns);
         let mut roots = Vec::new();
         for w in self.worker_nodes() {
-            roots = self.seg_store.attach(&mut self.vms[w.0], seal.base).map_err(Error::Store)?;
+            roots = self
+                .seg_store
+                .attach(&mut self.vms[w.0], seal.base, obs::TraceCtx::NONE)
+                .map_err(Error::Store)?;
         }
         let root = *roots.first().ok_or(Error::BadPartitioning { expected: 1, got: 0 })?;
         Ok(Broadcast { base: seal.base, root })
@@ -840,7 +845,9 @@ impl SparkCluster {
     /// Heap/store errors.
     pub fn drop_broadcast(&mut self, b: Broadcast) -> Result<()> {
         for w in self.worker_nodes() {
-            self.seg_store.detach(&mut self.vms[w.0], b.base).map_err(Error::Store)?;
+            self.seg_store
+                .detach(&mut self.vms[w.0], b.base, obs::TraceCtx::NONE)
+                .map_err(Error::Store)?;
         }
         self.seg_store.advance_epoch();
         Ok(())
