@@ -86,7 +86,8 @@ fn ablation_chunk_size(cp: &Arc<ClassPath>) {
         let sky_rx = skyway_for(&dir, 1);
         let mut p = Profile::new();
         let bytes = serialize_profiled(&sky_tx, &mut sender, &roots, &mut p).expect("ser");
-        let n_chunks = skyway::buffer::parse_frames(&bytes).expect("frames").1.len();
+        let frame = skyway::buffer::Frame::parse(&bytes).expect("frame");
+        let n_chunks: usize = frame.lanes.iter().map(|l| l.chunks.len()).sum();
         deserialize_profiled(&sky_rx, &mut receiver, &bytes, &mut p).expect("deser");
         println!(
             "  {:>10} {:>10} {:>12.2} {:>10.2}",

@@ -8,6 +8,36 @@
 //! buffer. The byte stream cut into chunks at flush points *is* the logical
 //! space; objects never span a chunk boundary (the flush happens when the
 //! next object does not fit).
+//!
+//! # The wire frame
+//!
+//! This module is the one place that defines how a transfer looks as
+//! bytes. Every carrier uses the same frame: a serializer blob, a shuffle
+//! file, and a socket stream. All integers are little-endian.
+//!
+//! | Bytes | Field | Meaning |
+//! |---|---|---|
+//! | 4 | magic | `"SKYW"` |
+//! | 1 | version | `3` (the retired v1/v2 frames are rejected) |
+//! | 1 | flags | bit 0 the `baddr` word, bit 1 4-byte array lengths (the object format), bit 2 [`FLAG_COMPRESSED`]; other bits must be 0 |
+//! | 2 | lanes | number of lanes that follow |
+//! | 8 | trace_id | the sender's transfer trace; 0 when untraced |
+//! | 8 | parent | the parent span of the receiver's spans; 0 when untraced |
+//! | | *per lane:* | |
+//! | 4 | root_count | roots the lane carries |
+//! | 4 × root_count | root_index | where each of them, in emission order, sits in the transfer's root list |
+//! | 4 | chunk_count | chunks in the lane |
+//! | 4 + len, per chunk | len, bytes | one chunk of the lane's stream |
+//!
+//! The root tables of all lanes together name each index `0..total`
+//! exactly once. A single sender writes one lane with table `0..n`; a
+//! parallel send writes one lane per stream. The parser caps every count
+//! by the bytes left and checks everything before the receiver places a
+//! byte.
+//!
+//! The socket carrier streams one lane. Its first message is the 24-byte
+//! header alone (lanes = 1, never compressed). Each chunk follows as one
+//! bare message, and an empty message ends the stream.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -268,114 +298,234 @@ impl OutputBuffer {
     }
 }
 
+/// Frame flag bit 2: the lanes carry the compressed wire format
+/// ([`crate::compress::WIRE_SPEC`]), expanded before absorption.
+pub const FLAG_COMPRESSED: u8 = 0b100;
+
+/// Every flag bit a frame may set: the object format and [`FLAG_COMPRESSED`].
+const KNOWN_FLAGS: u8 = 0b111;
+
 /// The frame flag bits naming object format `spec`: bit 0 is the `baddr`
-/// header word, bit 1 a 4-byte array length. Higher bits belong to the
-/// framing caller (the serializer's compressed-wire bit).
+/// header word, bit 1 a 4-byte array length.
 pub(crate) fn spec_flags(spec: LayoutSpec) -> u8 {
     u8::from(spec.with_baddr) | (u8::from(spec.array_len_size == 4) << 1)
 }
 
-/// The object format named by frame flags (inverse of [`spec_flags`];
-/// bits above 1 are ignored).
-pub(crate) fn flags_spec(flags: u8) -> LayoutSpec {
-    LayoutSpec { with_baddr: flags & 1 != 0, array_len_size: if flags & 2 != 0 { 4 } else { 8 } }
+/// The fixed front of every frame. The lane count sits in it on the wire
+/// but belongs to the body: [`Header::to_bytes`] takes it and
+/// [`Header::parse`] returns it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Header {
+    /// Object format bits and [`FLAG_COMPRESSED`].
+    pub flags: u8,
+    /// The sender's transfer trace ([`obs::TraceCtx::NONE`] when untraced).
+    pub trace: obs::TraceCtx,
 }
 
-/// Frames a finished stream of chunks into one self-describing byte blob
-/// (what a Spark shuffle file or a socket payload carries).
-///
-/// Layout v1: `magic "SKYW" | version u8 | flags u8 | chunk_count u32 |`
-/// then per chunk `len u32 | bytes`. Version 2 (emitted only when a live
-/// trace context is attached — see [`frame_chunks_traced`]) inserts
-/// `trace_id u64 | parent_span u64` between the count and the chunks, so
-/// the receiver re-attaches the sender's transfer trace.
-pub fn frame_chunks(chunks: &[Vec<u8>], flags: u8) -> Vec<u8> {
-    frame_chunks_traced(chunks, flags, obs::TraceCtx::NONE)
-}
+impl Header {
+    /// Encoded length in bytes.
+    pub const LEN: usize = 24;
+    const MAGIC: &'static [u8; 4] = b"SKYW";
+    const VERSION: u8 = 3;
 
-/// [`frame_chunks`] with a trace context propagated in the header.
-/// [`obs::TraceCtx::NONE`] produces a plain v1 frame, so untraced blobs
-/// stay byte-identical to older writers.
-pub fn frame_chunks_traced(chunks: &[Vec<u8>], flags: u8, ctx: obs::TraceCtx) -> Vec<u8> {
-    let total: usize = chunks.iter().map(|c| c.len() + 4).sum();
-    let mut out = Vec::with_capacity(total + 26);
-    out.extend_from_slice(b"SKYW");
-    out.push(if ctx.is_none() { 1 } else { 2 }); // version
-    out.push(flags);
-    out.extend_from_slice(&(chunks.len() as u32).to_le_bytes());
-    if !ctx.is_none() {
-        out.extend_from_slice(&ctx.trace_id.to_le_bytes());
-        out.extend_from_slice(&ctx.parent.to_le_bytes());
+    /// The header of a frame of `lanes` lanes.
+    pub fn to_bytes(&self, lanes: u16) -> [u8; Self::LEN] {
+        let mut b = [0u8; Self::LEN];
+        b[0..4].copy_from_slice(Self::MAGIC);
+        b[4] = Self::VERSION;
+        b[5] = self.flags;
+        b[6..8].copy_from_slice(&lanes.to_le_bytes());
+        b[8..16].copy_from_slice(&self.trace.trace_id.to_le_bytes());
+        b[16..24].copy_from_slice(&self.trace.parent.to_le_bytes());
+        b
     }
-    for c in chunks {
-        out.extend_from_slice(&(c.len() as u32).to_le_bytes());
-        out.extend_from_slice(c);
-    }
-    out
-}
 
-/// Reads a little-endian `u32` at `pos`, bounds-checked.
-fn read_u32_le(blob: &[u8], pos: usize) -> Result<u32> {
-    let s =
-        blob.get(pos..pos + 4).ok_or_else(|| Error::BadFrame("truncated chunk header".into()))?;
-    let mut a = [0u8; 4];
-    a.copy_from_slice(s);
-    Ok(u32::from_le_bytes(a))
-}
-
-/// Reads a little-endian `u64` at `pos`, bounds-checked.
-fn read_u64_le(blob: &[u8], pos: usize) -> Result<u64> {
-    let s =
-        blob.get(pos..pos + 8).ok_or_else(|| Error::BadFrame("truncated trace header".into()))?;
-    let mut a = [0u8; 8];
-    a.copy_from_slice(s);
-    Ok(u64::from_le_bytes(a))
-}
-
-/// Parses a framed blob back into chunks (borrowed slices), discarding
-/// any propagated trace context.
-///
-/// # Errors
-/// [`Error::BadFrame`] for wrong magic/version/truncation.
-pub fn parse_frames(blob: &[u8]) -> Result<(u8, Vec<&[u8]>)> {
-    let (flags, _, chunks) = parse_frames_traced(blob)?;
-    Ok((flags, chunks))
-}
-
-/// Parses a framed blob back into chunks plus the trace context
-/// propagated in a v2 header ([`obs::TraceCtx::NONE`] for v1 frames).
-///
-/// # Errors
-/// [`Error::BadFrame`] for wrong magic/version/truncation.
-pub fn parse_frames_traced(blob: &[u8]) -> Result<(u8, obs::TraceCtx, Vec<&[u8]>)> {
-    if blob.len() < 10 || &blob[0..4] != b"SKYW" {
-        return Err(Error::BadFrame("missing SKYW magic".into()));
-    }
-    if blob[4] != 1 && blob[4] != 2 {
-        return Err(Error::BadFrame(format!("unsupported version {}", blob[4])));
-    }
-    let flags = blob[5];
-    let n = read_u32_le(blob, 6)? as usize;
-    let (ctx, mut pos) = if blob[4] == 2 {
-        let ctx =
-            obs::TraceCtx { trace_id: read_u64_le(blob, 10)?, parent: read_u64_le(blob, 18)? };
-        (ctx, 26)
-    } else {
-        (obs::TraceCtx::NONE, 10)
-    };
-    // Every chunk costs at least its 4-byte length: the bytes left bound
-    // the capacity, whatever count the header claims.
-    let mut chunks = Vec::with_capacity(n.min(blob.len().saturating_sub(pos) / 4));
-    for _ in 0..n {
-        let len = read_u32_le(blob, pos)? as usize;
-        pos += 4;
-        if pos + len > blob.len() {
-            return Err(Error::BadFrame("truncated chunk body".into()));
+    /// Reads the header at the front of `bytes` and the lane count.
+    ///
+    /// # Errors
+    /// [`Error::BadFrame`] for another magic (the retired multi-stream
+    /// container's included), any version but 3 (the retired v1/v2 frames
+    /// included), unknown flag bits or truncation.
+    pub fn parse(bytes: &[u8]) -> Result<(Header, u16)> {
+        if !bytes.starts_with(Self::MAGIC) {
+            return Err(Error::BadFrame("missing SKYW magic".into()));
         }
-        chunks.push(&blob[pos..pos + len]);
-        pos += len;
+        let mut c = Cursor { blob: bytes, pos: Self::MAGIC.len() };
+        let [version, flags] = c.array("frame header")?;
+        if version != Self::VERSION {
+            return Err(Error::BadFrame(format!("unsupported version {version}")));
+        }
+        if flags & !KNOWN_FLAGS != 0 {
+            return Err(Error::BadFrame(format!("unknown flag bits {flags:#04x}")));
+        }
+        let lanes = u16::from_le_bytes(c.array("frame header")?);
+        let trace_id = u64::from_le_bytes(c.array("frame header")?);
+        let parent = u64::from_le_bytes(c.array("frame header")?);
+        Ok((Header { flags, trace: obs::TraceCtx { trace_id, parent } }, lanes))
     }
-    Ok((flags, ctx, chunks))
+
+    /// Whether the lanes carry the compressed wire format.
+    pub fn compressed(&self) -> bool {
+        self.flags & FLAG_COMPRESSED != 0
+    }
+
+    /// Checks that the object format named by flag bits 0–1 is the
+    /// `local` heap's.
+    ///
+    /// # Errors
+    /// [`Error::SpecMismatch`] naming both formats.
+    pub fn check_spec(&self, local: LayoutSpec) -> Result<()> {
+        let wire = LayoutSpec {
+            with_baddr: self.flags & 1 != 0,
+            array_len_size: if self.flags & 2 != 0 { 4 } else { 8 },
+        };
+        if wire != local {
+            let (wire, local) = (format!("{wire:?}"), format!("{local:?}"));
+            return Err(Error::SpecMismatch { wire, local });
+        }
+        Ok(())
+    }
+}
+
+/// One sender stream of a frame.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Lane<C> {
+    /// Root table: where each root of this lane, in emission order, sits
+    /// in the transfer's root list.
+    pub roots: Vec<u32>,
+    /// The lane's chunks, in stream order.
+    pub chunks: Vec<C>,
+}
+
+/// A whole transfer as one blob (see the module docs for the layout).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Frame<C> {
+    /// Flags and trace context.
+    pub header: Header,
+    /// The lanes (at most `u16::MAX`).
+    pub lanes: Vec<Lane<C>>,
+}
+
+impl<C: AsRef<[u8]>> Frame<C> {
+    /// The frame's bytes.
+    pub fn encode(&self) -> Vec<u8> {
+        let roots: usize = self.lanes.iter().map(|l| l.roots.len()).sum();
+        let chunks = self.lanes.iter().flat_map(|l| &l.chunks);
+        let body =
+            8 * self.lanes.len() + 4 * roots + chunks.map(|c| 4 + c.as_ref().len()).sum::<usize>();
+        let mut out = Vec::with_capacity(Header::LEN + body);
+        out.extend_from_slice(&self.header.to_bytes(self.lanes.len() as u16));
+        for lane in &self.lanes {
+            out.extend_from_slice(&(lane.roots.len() as u32).to_le_bytes());
+            for &ix in &lane.roots {
+                out.extend_from_slice(&ix.to_le_bytes());
+            }
+            out.extend_from_slice(&(lane.chunks.len() as u32).to_le_bytes());
+            for c in &lane.chunks {
+                out.extend_from_slice(&(c.as_ref().len() as u32).to_le_bytes());
+                out.extend_from_slice(c.as_ref());
+            }
+        }
+        out
+    }
+}
+
+impl<'a> Frame<&'a [u8]> {
+    /// Parses and checks a whole frame, chunks borrowed from `blob`.
+    ///
+    /// # Errors
+    /// [`Error::BadFrame`] as for [`Header::parse`], and for truncation,
+    /// trailing bytes, a count the bytes left cannot hold, or root tables
+    /// that together are not a permutation of `0..total roots`.
+    pub fn parse(blob: &'a [u8]) -> Result<Self> {
+        let (header, lane_count) = Header::parse(blob)?;
+        let mut c = Cursor { blob, pos: Header::LEN };
+        // Counts are capped by the bytes left before anything is sized from
+        // them: a lane costs at least 8 bytes, a root or chunk at least 4.
+        let mut lanes = Vec::with_capacity(usize::from(lane_count).min(c.left() / 8));
+        for _ in 0..lane_count {
+            let n = c.count("root table")?;
+            let roots = (0..n).map(|_| c.u32("root table")).collect::<Result<Vec<_>>>()?;
+            let n = c.count("chunk list")?;
+            let chunks = (0..n)
+                .map(|_| {
+                    let len = c.u32("chunk header")? as usize;
+                    c.take(len, "chunk body")
+                })
+                .collect::<Result<Vec<_>>>()?;
+            lanes.push(Lane { roots, chunks });
+        }
+        if c.left() != 0 {
+            return Err(Error::BadFrame(format!("{} trailing bytes", c.left())));
+        }
+        // In range and never twice, over exactly `total` entries: then no
+        // index is missing either.
+        let mut seen = vec![false; lanes.iter().map(|l| l.roots.len()).sum()];
+        for &ix in lanes.iter().flat_map(|l| &l.roots) {
+            let slot = seen
+                .get_mut(ix as usize)
+                .ok_or_else(|| Error::BadFrame(format!("root index {ix} out of range")))?;
+            if std::mem::replace(slot, true) {
+                return Err(Error::BadFrame(format!("duplicate root index {ix}")));
+            }
+        }
+        Ok(Frame { header, lanes })
+    }
+}
+
+/// Reads a socket stream's first message: the header alone
+/// (`to_bytes(1)`), naming the one lane whose chunks follow as bare
+/// messages until an empty message (a flushed chunk is never empty).
+///
+/// # Errors
+/// As [`Header::parse`]; [`Error::BadFrame`] also for trailing bytes, a
+/// lane count other than one, or the compressed flag (a streamed lane
+/// cannot be expanded before it is absorbed).
+pub(crate) fn parse_stream_header(msg: &[u8]) -> Result<Header> {
+    let (header, lanes) = Header::parse(msg)?;
+    if msg.len() != Header::LEN || lanes != 1 || header.compressed() {
+        return Err(Error::BadFrame("bad socket stream header".into()));
+    }
+    Ok(header)
+}
+
+/// A bounds-checked little-endian reader over a frame.
+struct Cursor<'a> {
+    blob: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Cursor<'a> {
+    fn left(&self) -> usize {
+        self.blob.len() - self.pos
+    }
+
+    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8]> {
+        let s = self.blob[self.pos..]
+            .get(..n)
+            .ok_or_else(|| Error::BadFrame(format!("truncated {what}")))?;
+        self.pos += n;
+        Ok(s)
+    }
+
+    fn array<const N: usize>(&mut self, what: &str) -> Result<[u8; N]> {
+        let mut a = [0u8; N];
+        a.copy_from_slice(self.take(N, what)?);
+        Ok(a)
+    }
+
+    fn u32(&mut self, what: &str) -> Result<u32> {
+        Ok(u32::from_le_bytes(self.array(what)?))
+    }
+
+    /// A count of items of at least 4 bytes each, capped by the bytes left.
+    fn count(&mut self, what: &str) -> Result<usize> {
+        let n = self.u32(what)? as usize;
+        if n > self.left() / 4 {
+            return Err(Error::BadFrame(format!("{what} of {n} entries exceeds the frame")));
+        }
+        Ok(n)
+    }
 }
 
 #[cfg(test)]
@@ -384,17 +534,46 @@ mod tests {
 
     #[test]
     fn spec_flags_roundtrip() {
-        for spec in [LayoutSpec::SKYWAY, LayoutSpec::STOCK, LayoutSpec::COMPACT] {
-            assert_eq!(flags_spec(spec_flags(spec)), spec);
+        let specs = [LayoutSpec::SKYWAY, LayoutSpec::STOCK, LayoutSpec::COMPACT];
+        for spec in specs {
+            let header = Header { flags: spec_flags(spec), trace: obs::TraceCtx::NONE };
+            for local in specs {
+                assert_eq!(header.check_spec(local).is_ok(), local == spec);
+            }
+            let compressed = Header { flags: header.flags | FLAG_COMPRESSED, ..header };
+            assert!(compressed.check_spec(spec).is_ok());
         }
+    }
+
+    /// A one-lane frame head: header, then `root_count` and what follows.
+    fn head(lanes: u16, rest: &[u32]) -> Vec<u8> {
+        let h = Header { flags: 0, trace: obs::TraceCtx::NONE };
+        let mut blob = h.to_bytes(lanes).to_vec();
+        for w in rest {
+            blob.extend_from_slice(&w.to_le_bytes());
+        }
+        blob
+    }
+
+    fn is_bad_frame(blob: &[u8]) -> bool {
+        matches!(Frame::parse(blob), Err(Error::BadFrame(_)))
     }
 
     #[test]
     fn huge_chunk_count_is_rejected_without_allocating() {
-        // 0x7fff_ffff chunks claimed by a 10-byte blob: sizing the chunk
-        // list from the header alone would ask for ~32 GiB.
-        let blob = b"SKYW\x01\x00\xff\xff\xff\x7f";
-        assert!(matches!(parse_frames(blob), Err(Error::BadFrame(_))));
+        // 0x7fff_ffff chunks claimed by a 32-byte blob: sizing the chunk
+        // list from the count alone would ask for ~32 GiB.
+        assert!(is_bad_frame(&head(1, &[0, 0x7fff_ffff])));
+    }
+
+    #[test]
+    fn huge_root_count_is_rejected_without_allocating() {
+        assert!(is_bad_frame(&head(1, &[0x7fff_ffff, 0])));
+    }
+
+    #[test]
+    fn huge_lane_count_is_rejected_without_allocating() {
+        assert!(is_bad_frame(&head(u16::MAX, &[0, 0])));
     }
 
     #[test]
@@ -460,9 +639,11 @@ mod tests {
         b.write_word(a, 0x1122_3344_5566_7788).unwrap();
         b.write_word(a + 8, TOP_MARK).unwrap();
         let chunks = b.finish();
-        let blob = frame_chunks(&chunks, 3);
-        let (flags, parsed) = parse_frames(&blob).unwrap();
-        assert_eq!(flags, 3);
+        let header = Header { flags: 3, trace: obs::TraceCtx::NONE };
+        let blob = Frame { header, lanes: vec![Lane { roots: vec![0], chunks }] }.encode();
+        let frame = Frame::parse(&blob).unwrap();
+        assert_eq!(frame.header, header);
+        let parsed = &frame.lanes[0].chunks;
         assert_eq!(parsed.len(), 1);
         assert_eq!(u64::from_le_bytes(parsed[0][0..8].try_into().unwrap()), 0x1122_3344_5566_7788);
         assert_eq!(u64::from_le_bytes(parsed[0][8..16].try_into().unwrap()), TOP_MARK);
@@ -470,38 +651,80 @@ mod tests {
 
     #[test]
     fn bad_frames_rejected() {
-        assert!(parse_frames(b"nope").is_err());
-        // Version 3 does not exist.
-        assert!(parse_frames(b"SKYW\x03\x00\x00\x00\x00\x00").is_err());
-        // Version 2 without its 16-byte trace header is truncated.
-        assert!(parse_frames(b"SKYW\x02\x00\x01\x00\x00\x00").is_err());
-        let blob = frame_chunks(&[vec![1, 2, 3]], 0);
-        assert!(parse_frames(&blob[..blob.len() - 1]).is_err());
+        // Any other magic, the retired multi-stream container's included.
+        assert!(is_bad_frame(b"nope"));
+        assert!(is_bad_frame(b"SKYW"));
+        // The retired v1 and v2 single-stream frames.
+        assert!(is_bad_frame(b"SKYW\x01\x00\x01\x00\x00\x00\x00\x00\x00\x00"));
+        assert!(is_bad_frame(b"SKYW\x02\x00\x00\x00\x00\x00"));
+        let mut unknown_flag = head(0, &[]);
+        unknown_flag[5] = 0b1000;
+        assert!(is_bad_frame(&unknown_flag));
+        let header = Header { flags: 0, trace: obs::TraceCtx::NONE };
+        let blob =
+            Frame { header, lanes: vec![Lane { roots: vec![0], chunks: vec![vec![0u8; 8]] }] }
+                .encode();
+        assert!(Frame::parse(&blob).is_ok());
+        for cut in 0..blob.len() {
+            assert!(is_bad_frame(&blob[..cut]), "truncated at {cut}");
+        }
+        let mut trailing = blob.clone();
+        trailing.push(0);
+        assert!(is_bad_frame(&trailing));
     }
 
     #[test]
-    fn traced_frames_roundtrip_the_context() {
-        let ctx = obs::TraceCtx { trace_id: 0xdead_beef, parent: 42 };
-        let blob = frame_chunks_traced(&[vec![0u8; 8], vec![1u8; 16]], 5, ctx);
-        assert_eq!(blob[4], 2, "live context promotes the frame to v2");
-        let (flags, got, chunks) = parse_frames_traced(&blob).unwrap();
-        assert_eq!(flags, 5);
-        assert_eq!(got, ctx);
-        assert_eq!(chunks.len(), 2);
-        assert_eq!(chunks[1].len(), 16);
-        // The trace-blind parser still reads v2 frames.
-        let (flags, chunks) = parse_frames(&blob).unwrap();
-        assert_eq!(flags, 5);
-        assert_eq!(chunks.len(), 2);
+    fn root_tables_must_permute_the_roots() {
+        let header = Header { flags: 0, trace: obs::TraceCtx::NONE };
+        let frame = |tables: &[&[u32]]| {
+            let lanes = tables
+                .iter()
+                .map(|t| Lane { roots: t.to_vec(), chunks: Vec::<Vec<u8>>::new() })
+                .collect();
+            Frame { header, lanes }.encode()
+        };
+        assert!(Frame::parse(&frame(&[&[2, 0], &[1]])).is_ok());
+        assert!(is_bad_frame(&frame(&[&[0, 3], &[1]])), "out of range");
+        assert!(is_bad_frame(&frame(&[&[0, 1], &[1]])), "duplicate");
+        // Three slots, index 2 never named: the stray 3 is out of range.
+        assert!(is_bad_frame(&frame(&[&[0], &[1, 3]])), "gap");
     }
 
     #[test]
-    fn untraced_frames_stay_v1() {
-        let blob = frame_chunks_traced(&[vec![0u8; 8]], 0, obs::TraceCtx::NONE);
-        assert_eq!(blob[4], 1);
-        assert_eq!(blob, frame_chunks(&[vec![0u8; 8]], 0));
-        let (_, ctx, _) = parse_frames_traced(&blob).unwrap();
-        assert!(ctx.is_none());
+    fn frames_roundtrip_lanes_and_the_trace_context() {
+        let header =
+            Header { flags: 5, trace: obs::TraceCtx { trace_id: 0xdead_beef, parent: 42 } };
+        let frame = Frame {
+            header,
+            lanes: vec![
+                Lane { roots: vec![1], chunks: vec![vec![0u8; 8], vec![1u8; 16]] },
+                Lane { roots: vec![0, 2], chunks: vec![vec![2u8; 24]] },
+            ],
+        };
+        let blob = frame.encode();
+        let parsed = Frame::parse(&blob).unwrap();
+        assert_eq!(parsed.header, header);
+        assert!(parsed.header.compressed());
+        assert_eq!(parsed.lanes.len(), 2);
+        for (got, want) in parsed.lanes.iter().zip(&frame.lanes) {
+            assert_eq!(got.roots, want.roots);
+            assert!(got.chunks.iter().map(|c| c.to_vec()).eq(want.chunks.iter().cloned()));
+        }
+        // Untraced frames carry a zero context.
+        let untraced = Header { flags: 0, trace: obs::TraceCtx::NONE };
+        assert_eq!(untraced.to_bytes(1)[8..], [0u8; 16]);
+    }
+
+    #[test]
+    fn socket_stream_headers_roundtrip() {
+        let header = Header { flags: 1, trace: obs::TraceCtx { trace_id: 7, parent: 9 } };
+        assert_eq!(parse_stream_header(&header.to_bytes(1)).unwrap(), header);
+        // Whole frames, several lanes and compressed lanes are not socket
+        // headers.
+        assert!(parse_stream_header(&head(1, &[0, 0])).is_err());
+        assert!(parse_stream_header(&header.to_bytes(2)).is_err());
+        let compressed = Header { flags: 1 | FLAG_COMPRESSED, ..header };
+        assert!(parse_stream_header(&compressed.to_bytes(1)).is_err());
     }
 
     #[test]
@@ -551,8 +774,10 @@ mod tests {
         let b = OutputBuffer::new(64);
         let chunks = b.finish();
         assert!(chunks.is_empty());
-        let blob = frame_chunks(&chunks, 0);
-        let (_, parsed) = parse_frames(&blob).unwrap();
-        assert!(parsed.is_empty());
+        let header = Header { flags: 0, trace: obs::TraceCtx::NONE };
+        let blob = Frame { header, lanes: vec![Lane { roots: vec![], chunks }] }.encode();
+        let parsed = Frame::parse(&blob).unwrap();
+        assert_eq!(parsed.lanes.len(), 1);
+        assert!(parsed.lanes[0].chunks.is_empty());
     }
 }

@@ -84,7 +84,8 @@ pub fn expand_stream(
     let wire = WIRE_SPEC;
     let mut klasses: HashMap<u32, WireKlass> = HashMap::new();
     let resolve = |tid: u32| -> Result<WireKlass> {
-        let name = dir.name_for_tid(node, tid)?;
+        let name =
+            dir.name_for_tid(node, tid, obs::global().tracer(), obs::TraceCtx::NONE, &vm.name)?;
         let kid = vm.load_class(&name).map_err(Error::Heap)?;
         let k = vm.klasses().get(kid).map_err(Error::Heap)?;
         let lhdr = local_spec.instance_header();

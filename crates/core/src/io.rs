@@ -5,15 +5,20 @@
 //!
 //! These wrap the format-level [`crate::stream`] classes with a carrier:
 //! the simulated per-node disk (shuffle spill files) or the simulated
-//! network (socket-style links). Chunks are streamed to the carrier as the
-//! output buffer flushes, so transfer overlaps with traversal just as §3.2
-//! describes.
+//! network (socket-style links). Both carry the one wire frame of
+//! [`crate::buffer`]. A file holds a whole frame and is read through
+//! [`crate::receiver::receive_frame`], the serializer's receive path. A
+//! socket sends the frame header first and then streams each chunk as
+//! the output buffer flushes, so transfer overlaps with traversal just as
+//! §3.2 describes; its reader checks the header the same way before it
+//! absorbs a byte.
 
 use mheap::layout::Addr;
 use mheap::Vm;
 use simnet::{Cluster, NodeId};
 
-use crate::buffer::{flags_spec, frame_chunks_traced, parse_frames_traced, spec_flags};
+use crate::buffer::{parse_stream_header, spec_flags, Frame, Header, Lane};
+use crate::receiver::{receive_frame, GraphReceiver};
 use crate::registry::TypeDirectory;
 use crate::sender::{GraphSender, SendConfig, SendStats};
 use crate::stream::{ShuffleController, UpdateRegistry};
@@ -25,19 +30,12 @@ use crate::{Error, Result};
 /// [`SkywayFileOutputStream::write_object`] for every root, then
 /// [`SkywayFileOutputStream::close`] to commit the file (charging write-I/O
 /// on the owning node).
+#[derive(Debug)]
 pub struct SkywayFileOutputStream<'a> {
     sender: GraphSender<'a>,
     node: NodeId,
     name: String,
-}
-
-impl<'a> std::fmt::Debug for SkywayFileOutputStream<'a> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SkywayFileOutputStream")
-            .field("node", &self.node)
-            .field("name", &self.name)
-            .finish()
-    }
+    roots: u32,
 }
 
 impl<'a> SkywayFileOutputStream<'a> {
@@ -55,7 +53,7 @@ impl<'a> SkywayFileOutputStream<'a> {
     ) -> Result<Self> {
         let sender =
             GraphSender::new(vm, dir, node, controller.sid(), controller.next_stream(), cfg)?;
-        Ok(SkywayFileOutputStream { sender, node, name: name.into() })
+        Ok(SkywayFileOutputStream { sender, node, name: name.into(), roots: 0 })
     }
 
     /// Attaches a transfer trace context, propagated in the file's frame
@@ -71,7 +69,9 @@ impl<'a> SkywayFileOutputStream<'a> {
     /// # Errors
     /// Heap/registry errors.
     pub fn write_object(&mut self, root: Addr) -> Result<()> {
-        self.sender.write_root(root)
+        self.sender.write_root(root)?;
+        self.roots += 1;
+        Ok(())
     }
 
     /// Commits the file to the node's disk, charging write-I/O time, and
@@ -80,16 +80,20 @@ impl<'a> SkywayFileOutputStream<'a> {
     /// # Errors
     /// Cluster errors.
     pub fn close(self, cluster: &mut Cluster) -> Result<SendStats> {
-        let spec_byte = spec_flags(self.sender.receiver_spec());
-        let ctx = self.sender.trace_ctx();
+        let header = Header {
+            flags: spec_flags(self.sender.receiver_spec()),
+            trace: self.sender.trace_ctx(),
+        };
         let registry = std::sync::Arc::clone(self.sender.registry());
-        let node_name = self.sender.node_name().to_owned();
+        let node_name = self.sender.node_name();
         let out = self.sender.finish();
-        let blob = frame_chunks_traced(&out.chunks, spec_byte, ctx);
+        let chunks = out.chunks.len();
+        let lanes = vec![Lane { roots: (0..self.roots).collect(), chunks: out.chunks }];
+        let blob = Frame { header, lanes }.encode();
         let mut span =
-            registry.tracer().start(obs::names::TRACE_SENDER_CHUNK_SEND, ctx, &node_name);
+            registry.tracer().start(obs::names::TRACE_SENDER_CHUNK_SEND, header.trace, node_name);
         span.annotate("bytes", blob.len() as u64);
-        span.annotate("chunks", out.chunks.len() as u64);
+        span.annotate("chunks", chunks as u64);
         cluster.disk_write(self.node, self.name, blob).map_err(Error::Cluster)?;
         drop(span);
         Ok(out.stats)
@@ -117,25 +121,18 @@ impl SkywayFileInputStream {
         hooks: Option<&UpdateRegistry>,
     ) -> Result<Vec<Addr>> {
         let blob = cluster.disk_read(node, name).map_err(Error::Cluster)?;
-        read_blob(vm, dir, node, &blob, hooks)
+        receive_frame(vm, dir, node, &blob, hooks)
     }
 }
 
 /// Sends object graphs over a simulated socket link, streaming each chunk
 /// as it flushes — the counterpart of `SkywaySocketOutputStream`.
+#[derive(Debug)]
 pub struct SkywaySocketOutputStream<'a> {
     sender: GraphSender<'a>,
     src: NodeId,
     dst: NodeId,
-}
-
-impl<'a> std::fmt::Debug for SkywaySocketOutputStream<'a> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SkywaySocketOutputStream")
-            .field("src", &self.src)
-            .field("dst", &self.dst)
-            .finish()
-    }
+    header_sent: bool,
 }
 
 impl<'a> SkywaySocketOutputStream<'a> {
@@ -153,11 +150,11 @@ impl<'a> SkywaySocketOutputStream<'a> {
     ) -> Result<Self> {
         let sender =
             GraphSender::new(vm, dir, src, controller.sid(), controller.next_stream(), cfg)?;
-        Ok(SkywaySocketOutputStream { sender, src, dst })
+        Ok(SkywaySocketOutputStream { sender, src, dst, header_sent: false })
     }
 
-    /// Attaches a transfer trace context, carried as a traced-chunk message
-    /// prefix so the receiving node stitches into the same trace.
+    /// Attaches a transfer trace context, carried in the stream's frame
+    /// header so the receiving node stitches into the same trace.
     #[must_use]
     pub fn with_trace(mut self, ctx: obs::TraceCtx) -> Self {
         self.sender = self.sender.with_trace(ctx);
@@ -171,78 +168,45 @@ impl<'a> SkywaySocketOutputStream<'a> {
     /// Heap/registry/cluster errors.
     pub fn write_object(&mut self, root: Addr, cluster: &mut Cluster) -> Result<()> {
         self.sender.write_root(root)?;
-        let ctx = self.sender.trace_ctx();
-        let traced = if ctx.is_none() {
-            None
-        } else {
-            Some((
-                std::sync::Arc::clone(self.sender.registry()),
-                self.sender.node_name().to_owned(),
-            ))
-        };
-        for chunk in self.sender.take_ready_chunks() {
-            let mut span = traced.as_ref().map(|(reg, node)| {
-                reg.tracer().start(obs::names::TRACE_SENDER_CHUNK_SEND, ctx, node)
-            });
-            if let Some(s) = span.as_mut() {
-                s.annotate("bytes", chunk.len() as u64);
-            }
-            cluster
-                .net_send(self.src, self.dst, frame_chunk_msg(&chunk, ctx))
-                .map_err(Error::Cluster)?;
-            drop(span);
-        }
-        Ok(())
+        self.send_ready(cluster)
     }
 
     /// Flushes the tail and sends the end-of-stream marker.
     ///
     /// # Errors
     /// Cluster errors.
-    pub fn close(self, cluster: &mut Cluster) -> Result<SendStats> {
-        let ctx = self.sender.trace_ctx();
-        let traced = if ctx.is_none() {
-            None
-        } else {
-            Some((
-                std::sync::Arc::clone(self.sender.registry()),
-                self.sender.node_name().to_owned(),
-            ))
-        };
+    pub fn close(mut self, cluster: &mut Cluster) -> Result<SendStats> {
+        self.sender.flush();
+        self.send_ready(cluster)?;
         let out = self.sender.finish();
-        for chunk in &out.chunks {
-            let mut span = traced.as_ref().map(|(reg, node)| {
-                reg.tracer().start(obs::names::TRACE_SENDER_CHUNK_SEND, ctx, node)
-            });
-            if let Some(s) = span.as_mut() {
-                s.annotate("bytes", chunk.len() as u64);
-            }
-            cluster
-                .net_send(self.src, self.dst, frame_chunk_msg(chunk, ctx))
-                .map_err(Error::Cluster)?;
-            drop(span);
-        }
-        cluster.net_send(self.src, self.dst, vec![0u8]).map_err(Error::Cluster)?; // EOS
+        // An empty message ends the stream (see `crate::buffer`).
+        cluster.net_send(self.src, self.dst, Vec::new()).map_err(Error::Cluster)?;
         Ok(out.stats)
     }
-}
 
-/// Socket message framing: type 1 carries a bare chunk; type 2 prefixes the
-/// chunk with the 16-byte transfer trace context (trace id, parent span id,
-/// both little-endian) so the receiver can re-attach it.
-fn frame_chunk_msg(chunk: &[u8], ctx: obs::TraceCtx) -> Vec<u8> {
-    if ctx.is_none() {
-        let mut m = Vec::with_capacity(chunk.len() + 1);
-        m.push(1u8); // CHUNK
-        m.extend_from_slice(chunk);
-        return m;
+    /// Sends the frame header ahead of the first chunk, then every chunk
+    /// flushed so far.
+    fn send_ready(&mut self, cluster: &mut Cluster) -> Result<()> {
+        let ctx = self.sender.trace_ctx();
+        if !self.header_sent {
+            // The header of the one lane this stream carries.
+            let header = Header { flags: spec_flags(self.sender.receiver_spec()), trace: ctx };
+            cluster
+                .net_send(self.src, self.dst, header.to_bytes(1).to_vec())
+                .map_err(Error::Cluster)?;
+            self.header_sent = true;
+        }
+        for chunk in self.sender.take_ready_chunks() {
+            let mut span = self.sender.registry().tracer().start(
+                obs::names::TRACE_SENDER_CHUNK_SEND,
+                ctx,
+                self.sender.node_name(),
+            );
+            span.annotate("bytes", chunk.len() as u64);
+            cluster.net_send(self.src, self.dst, chunk).map_err(Error::Cluster)?;
+        }
+        Ok(())
     }
-    let mut m = Vec::with_capacity(chunk.len() + 17);
-    m.push(2u8); // TRACED CHUNK
-    m.extend_from_slice(&ctx.trace_id.to_le_bytes());
-    m.extend_from_slice(&ctx.parent.to_le_bytes());
-    m.extend_from_slice(chunk);
-    m
 }
 
 /// Receives a socket stream — the counterpart of `SkywaySocketInputStream`.
@@ -250,12 +214,13 @@ fn frame_chunk_msg(chunk: &[u8], ctx: obs::TraceCtx) -> Vec<u8> {
 pub struct SkywaySocketInputStream;
 
 impl SkywaySocketInputStream {
-    /// Drains queued messages from `src` until the end-of-stream marker,
+    /// Reads the stream's frame header and checks its object format, then
+    /// drains queued messages from `src` until the end-of-stream marker,
     /// placing each chunk into an input buffer as it arrives, then
     /// absolutizes. Returns the roots.
     ///
     /// # Errors
-    /// Transport, corrupt-stream, and heap errors.
+    /// Transport, corrupt-stream, format-mismatch and heap errors.
     pub fn read_all(
         vm: &mut Vm,
         dir: &TypeDirectory,
@@ -264,55 +229,23 @@ impl SkywaySocketInputStream {
         cluster: &mut Cluster,
         hooks: Option<&UpdateRegistry>,
     ) -> Result<Vec<Addr>> {
-        let mut rx = crate::receiver::GraphReceiver::new(vm, dir, node);
+        let header = parse_stream_header(&cluster.net_recv(node, src).map_err(Error::Cluster)?)?;
+        // A stream rejected after its header (foreign format, bad chunk) is
+        // still read to its end marker, so the link stays in step for the
+        // next stream.
+        let mut placed = header.check_spec(vm.spec());
+        let mut rx = GraphReceiver::new(vm, dir, node).with_trace(header.trace);
         loop {
-            let msg = cluster.net_recv(node, src).map_err(Error::Cluster)?;
-            match msg.first() {
-                Some(1) => rx.push_chunk(&msg[1..])?,
-                Some(2) => {
-                    if msg.len() < 17 {
-                        return Err(Error::BadFrame("truncated traced socket message".into()));
-                    }
-                    let mut id = [0u8; 8];
-                    id.copy_from_slice(&msg[1..9]);
-                    let mut parent = [0u8; 8];
-                    parent.copy_from_slice(&msg[9..17]);
-                    rx.attach_trace(obs::TraceCtx {
-                        trace_id: u64::from_le_bytes(id),
-                        parent: u64::from_le_bytes(parent),
-                    });
-                    rx.push_chunk(&msg[17..])?;
-                }
-                Some(0) => break,
-                _ => return Err(Error::BadFrame("bad socket message".into())),
+            let chunk = cluster.net_recv(node, src).map_err(Error::Cluster)?;
+            if chunk.is_empty() {
+                break;
+            }
+            if placed.is_ok() {
+                placed = rx.push_chunk(&chunk);
             }
         }
+        placed?;
         let (roots, _) = rx.finish(hooks)?;
         Ok(roots)
     }
-}
-
-/// Shared blob-reading path (file carrier).
-fn read_blob(
-    vm: &mut Vm,
-    dir: &TypeDirectory,
-    node: NodeId,
-    blob: &[u8],
-    hooks: Option<&UpdateRegistry>,
-) -> Result<Vec<Addr>> {
-    let (flags, ctx, chunks) = parse_frames_traced(blob)?;
-    let wire = flags_spec(flags);
-    if wire != vm.spec() {
-        return Err(Error::SpecMismatch {
-            wire: format!("{wire:?}"),
-            local: format!("{:?}", vm.spec()),
-        });
-    }
-    let mut rx = crate::receiver::GraphReceiver::new(vm, dir, node);
-    rx.attach_trace(ctx);
-    for c in chunks {
-        rx.push_chunk(c)?;
-    }
-    let (roots, _) = rx.finish(hooks)?;
-    Ok(roots)
 }

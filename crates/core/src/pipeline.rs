@@ -844,7 +844,7 @@ impl PipelineEngine {
         let mut total_bytes = 0u64;
         let mut chunk_bytes = Vec::with_capacity(events.len());
         for &(ready, t, bytes, absorb) in &events {
-            let xmit = link.send_traced_on(t, ready, bytes);
+            let xmit = link.send(t, ready, bytes);
             if !ctx.is_none() {
                 self.metrics.registry.tracer().record_sim_on(
                     obs::names::TRACE_LINK_XMIT,

@@ -17,8 +17,9 @@
 //! Two front ends share one absorption core and one finish:
 //!
 //! * [`GraphReceiver`] owns a `&mut Vm` and completes one stream end to
-//!   end — the wire paths (serializer, socket and file streams, the
-//!   sequential reference transfer) and the engine's inline mode use it;
+//!   end — the wire paths (the socket stream, [`receive_frame`] for the
+//!   serializer and file stream, the sequential reference transfer) and
+//!   the engine's inline mode use it;
 //! * [`StreamAbsorber`] runs the same scan over a shared `&Vm` — each lane
 //!   of an engine transfer absorbs its stream concurrently, allocating
 //!   input buffers through the heap's shared old-generation window.
@@ -37,7 +38,7 @@ use mheap::layout::mark;
 use mheap::{Addr, KlassId, KlassKind, Vm, FILLER_WORD};
 use simnet::NodeId;
 
-use crate::buffer::{TOP_MARK, TOP_REF};
+use crate::buffer::{Frame, TOP_MARK, TOP_REF};
 use crate::registry::TypeDirectory;
 use crate::sender::AddrHasher;
 use crate::stream::UpdateRegistry;
@@ -323,7 +324,7 @@ impl<'d> AbsorbCore<'d> {
     }
 
     fn klass_for_tid(&mut self, vm: &Vm, tid: u32) -> Result<KlassId> {
-        let name = self.dir.name_for_tid_traced(
+        let name = self.dir.name_for_tid(
             self.node,
             tid,
             self.metrics.registry.tracer(),
@@ -561,21 +562,15 @@ impl<'a> GraphReceiver<'a> {
 
     /// Re-attaches the sender's trace context so receiver-side spans
     /// (absorb, fixup, card dirtying) and subsequent GC pauses on this
-    /// VM stitch into the same transfer trace.
+    /// VM stitch into the same transfer trace. An untraced context
+    /// ([`obs::TraceCtx::NONE`]) leaves the VM's context as it was.
     #[must_use]
     pub fn with_trace(mut self, ctx: obs::TraceCtx) -> Self {
-        self.core.trace_ctx = ctx;
-        self.vm.set_trace_ctx(ctx);
-        self
-    }
-
-    /// Re-attaches a trace context mid-stream (wire carriers learn the
-    /// context from the first traced frame, after construction).
-    pub fn attach_trace(&mut self, ctx: obs::TraceCtx) {
         if !ctx.is_none() {
             self.core.trace_ctx = ctx;
             self.vm.set_trace_ctx(ctx);
         }
+        self
     }
 
     /// Places one received chunk into a fresh old-generation input buffer.
@@ -615,6 +610,59 @@ impl<'a> GraphReceiver<'a> {
         let stream = self.core.finish_stream(self.vm, hooks)?;
         stream.finish(self.vm, hooks, &self.core.metrics.registry, self.core.trace_ctx)
     }
+}
+
+/// Receives one whole framed blob ([`crate::buffer::Frame`]) into `vm`:
+/// the receive path of the serializer and the file stream. The frame is
+/// parsed in full first, so a malformed one places nothing. Then the
+/// object format is checked, the old generation makes room for the blob,
+/// and each lane (expanded first when compressed) is absorbed and finished
+/// under the sender's trace context, its roots landing where its root
+/// table says. As for [`GraphReceiver::finish`], the roots are *not yet GC
+/// roots*.
+///
+/// # Errors
+/// [`Error::BadFrame`] and [`Error::SpecMismatch`] for a frame this VM
+/// cannot take; corrupt-stream and heap errors while absorbing.
+pub fn receive_frame(
+    vm: &mut Vm,
+    dir: &TypeDirectory,
+    node: NodeId,
+    blob: &[u8],
+    hooks: Option<&UpdateRegistry>,
+) -> Result<Vec<Addr>> {
+    let frame = Frame::parse(blob)?;
+    frame.header.check_spec(vm.spec())?;
+    // The blob bounds the bytes it places (uncompressed); making room now,
+    // before any of it is placed, keeps a VM that only receives from
+    // filling its old generation with dead input buffers.
+    vm.reserve_old(blob.len() as u64).map_err(Error::Heap)?;
+    let mut placed = vec![Addr::NULL; frame.lanes.iter().map(|l| l.roots.len()).sum()];
+    for lane in &frame.lanes {
+        // An expanded lane is one chunk: objects cannot span it.
+        let (expanded, one);
+        let chunks: &[&[u8]] = if frame.header.compressed() {
+            expanded = crate::compress::expand_stream(vm, dir, node, &lane.chunks, vm.spec())?;
+            one = [expanded.as_slice()];
+            &one
+        } else {
+            &lane.chunks
+        };
+        let mut rx = GraphReceiver::new(vm, dir, node).with_trace(frame.header.trace);
+        for c in chunks {
+            rx.push_chunk(c)?;
+        }
+        let (roots, _) = rx.finish(hooks)?;
+        let (got, listed) = (roots.len(), lane.roots.len());
+        if got != listed {
+            return Err(Error::BadFrame(format!("lane carried {got} roots, its table {listed}")));
+        }
+        // `Frame::parse` checked the tables permute `0..placed.len()`.
+        for (&ix, root) in lane.roots.iter().zip(roots) {
+            placed[ix as usize] = root;
+        }
+    }
+    Ok(placed)
 }
 
 /// A received stream — or the merge of every lane's stream of one engine

@@ -198,12 +198,24 @@ impl TypeDirectory {
 
     /// Receiver-side reverse mapping: class name behind a `tID`. Consults
     /// the local view, then the driver ("the type registry knows the full
-    /// class name", §4.1).
+    /// class name", §4.1). The lookup is a protocol round trip worth seeing
+    /// on a transfer's timeline, so it runs in a
+    /// `trace.registry.class_load` span under `ctx` on `tracer`; the span
+    /// is inert when `ctx` is [`obs::TraceCtx::NONE`] or tracing is off.
     ///
     /// # Errors
     /// [`Error::UnknownNode`]; [`Error::UnknownTypeId`] if no node ever
     /// registered the id.
-    pub fn name_for_tid(&self, node: NodeId, tid: u32) -> Result<String> {
+    pub fn name_for_tid(
+        &self,
+        node: NodeId,
+        tid: u32,
+        tracer: &obs::Tracer,
+        ctx: obs::TraceCtx,
+        node_name: &str,
+    ) -> Result<String> {
+        let mut span = tracer.start(obs::names::TRACE_REGISTRY_CLASS_LOAD, ctx, node_name);
+        span.annotate("tid", u64::from(tid));
         {
             let view = self.view(node)?.lock();
             if let Some(name) = view.by_id.get(&tid) {
@@ -219,27 +231,6 @@ impl TypeDirectory {
         st.messages += 2;
         st.string_bytes += name.len() as u64;
         Ok(name)
-    }
-
-    /// [`TypeDirectory::name_for_tid`] wrapped in a
-    /// `trace.registry.class_load` span — the receiver's on-demand class
-    /// resolution is a protocol round trip worth seeing on a transfer's
-    /// timeline. Inert (plain lookup) when `ctx` is absent or tracing is
-    /// off.
-    ///
-    /// # Errors
-    /// Same as [`TypeDirectory::name_for_tid`].
-    pub fn name_for_tid_traced(
-        &self,
-        node: NodeId,
-        tid: u32,
-        tracer: &obs::Tracer,
-        ctx: obs::TraceCtx,
-        node_name: &str,
-    ) -> Result<String> {
-        let mut span = tracer.start(obs::names::TRACE_REGISTRY_CLASS_LOAD, ctx, node_name);
-        span.annotate("tid", u64::from(tid));
-        self.name_for_tid(node, tid)
     }
 
     /// Registers every class currently loaded in a worker VM (bulk variant
@@ -310,7 +301,11 @@ mod tests {
         let tid = dir.tid_for(NodeId(1), &k).unwrap();
         assert_eq!(dir.stats().lookups, 1);
         // A second worker finds it without defining it.
-        assert_eq!(dir.name_for_tid(NodeId(0), tid).unwrap(), "util.Pair");
+        assert_eq!(
+            dir.name_for_tid(NodeId(0), tid, obs::global().tracer(), obs::TraceCtx::NONE, "n0")
+                .unwrap(),
+            "util.Pair"
+        );
     }
 
     #[test]
@@ -343,7 +338,10 @@ mod tests {
     #[test]
     fn unknown_tid_is_an_error() {
         let dir = TypeDirectory::new(1, NodeId(0));
-        assert!(matches!(dir.name_for_tid(NodeId(0), 999), Err(Error::UnknownTypeId(999))));
+        assert!(matches!(
+            dir.name_for_tid(NodeId(0), 999, obs::global().tracer(), obs::TraceCtx::NONE, "n0"),
+            Err(Error::UnknownTypeId(999))
+        ));
     }
 
     #[test]

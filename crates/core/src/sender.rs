@@ -708,6 +708,12 @@ impl<'a> GraphSender<'a> {
         Ok(Some(total))
     }
 
+    /// Cuts the pending bytes into a chunk, so the next
+    /// [`GraphSender::take_ready_chunks`] returns the whole stream so far.
+    pub(crate) fn flush(&mut self) {
+        self.out.flush();
+    }
+
     /// Chunks that have already flushed (streaming carriers drain these so
     /// transfer overlaps with the traversal, §3.2).
     pub fn take_ready_chunks(&mut self) -> Vec<Vec<u8>> {

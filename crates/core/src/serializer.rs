@@ -3,24 +3,27 @@
 //! "directly compatible with the standard Java serializer").
 //!
 //! One adapter instance belongs to one node: it serializes outgoing data
-//! from that node's VM and deserializes incoming data into it. Byte blobs
-//! are framed chunk streams (see [`crate::buffer::frame_chunks`]), so they
-//! travel through files, sockets, or the simulated network unchanged.
+//! from that node's VM and deserializes incoming data into it. A blob is
+//! one wire frame ([`crate::buffer::Frame`]), the same one files carry: a
+//! single sender writes one lane whose root table is `0..n`, and
+//! [`SkywaySerializer::with_parallel_streams`] writes one lane per sender
+//! stream, its table naming the roots work stealing gave that stream.
+//! Receiving is [`crate::receiver::receive_frame`], shared with the file
+//! stream.
 
 use std::sync::Arc;
 
 use mheap::{Addr, LayoutSpec, Vm};
 use simnet::{NodeId, Profile};
 
-use crate::buffer::{flags_spec, frame_chunks, parse_frames, spec_flags};
+use crate::buffer::{spec_flags, Frame, Header, Lane, FLAG_COMPRESSED};
+use crate::receiver::receive_frame;
 use crate::registry::TypeDirectory;
 use crate::sender::{
     send_roots_parallel, GraphSender, ParallelConfig, SendConfig, SendStats, Tracking,
 };
 use crate::stream::{ShuffleController, UpdateRegistry};
 use crate::{Error, Result};
-
-const FLAG_COMPRESSED: u8 = 0b100;
 
 /// Skyway as a pluggable serializer for one cluster node.
 #[derive(Debug)]
@@ -111,36 +114,6 @@ impl SkywaySerializer {
         &self.controller
     }
 
-    /// Receives one framed single-stream blob into `vm`.
-    fn receive_blob(&self, vm: &mut Vm, blob: &[u8]) -> Result<Vec<Addr>> {
-        let (flags, chunks) = parse_frames(blob)?;
-        let declared_spec = flags_spec(flags);
-        if declared_spec != vm.spec() {
-            return Err(Error::SpecMismatch {
-                wire: format!("{declared_spec:?}"),
-                local: format!("{:?}", vm.spec()),
-            });
-        }
-        if flags & FLAG_COMPRESSED != 0 {
-            // Compressed wire: expand to the local format first, then
-            // receive the expanded stream as one chunk (objects cannot
-            // span it).
-            let local_spec = vm.spec();
-            let expanded =
-                crate::compress::expand_stream(vm, &self.dir, self.node, &chunks, local_spec)?;
-            let mut rx = crate::receiver::GraphReceiver::new(vm, &self.dir, self.node);
-            rx.push_chunk(&expanded)?;
-            let (roots, _stats) = rx.finish(self.hooks.as_deref())?;
-            return Ok(roots);
-        }
-        let mut rx = crate::receiver::GraphReceiver::new(vm, &self.dir, self.node);
-        for c in chunks {
-            rx.push_chunk(c)?;
-        }
-        let (roots, _stats) = rx.finish(self.hooks.as_deref())?;
-        Ok(roots)
-    }
-
     fn send_config(&self) -> SendConfig {
         SendConfig {
             chunk_limit: self.chunk_limit,
@@ -165,13 +138,12 @@ impl serlab::Serializer for SkywaySerializer {
         roots: &[Addr],
         profile: &mut Profile,
     ) -> serlab::Result<Vec<u8>> {
-        let flags = if self.compressed_wire {
-            spec_flags(self.receiver_spec) | FLAG_COMPRESSED
-        } else {
-            spec_flags(self.receiver_spec)
-        };
-        if self.parallel_streams > 1 {
-            let mut run = || -> Result<Vec<u8>> {
+        let mut flags = spec_flags(self.receiver_spec);
+        if self.compressed_wire {
+            flags |= FLAG_COMPRESSED;
+        }
+        let mut run = || -> Result<Vec<Lane<Vec<u8>>>> {
+            if self.parallel_streams > 1 {
                 let par = ParallelConfig::with_workers(self.parallel_streams);
                 let stream_base = self.controller.next_stream_block(par.workers as u16);
                 let send = send_roots_parallel(
@@ -185,29 +157,21 @@ impl serlab::Serializer for SkywaySerializer {
                     self.send_config(),
                 )?;
                 let mut merged = SendStats::default();
-                let mut out = Vec::new();
-                out.extend_from_slice(b"MSKY");
-                out.extend_from_slice(&(send.streams.len() as u16).to_le_bytes());
-                for (st, order) in send.streams.iter().zip(&send.root_order) {
+                for st in &send.streams {
                     profile.objects_transferred += st.stats.objects;
-                    merge_stats(&mut merged, &st.stats);
-                    // Root-index table: which original roots this stream
-                    // carries, in emission order — work stealing makes the
-                    // assignment dynamic, so the wire must say.
-                    out.extend_from_slice(&(order.len() as u32).to_le_bytes());
-                    for &ix in order {
-                        out.extend_from_slice(&ix.to_le_bytes());
-                    }
-                    let blob = frame_chunks(&st.chunks, flags);
-                    out.extend_from_slice(&(blob.len() as u32).to_le_bytes());
-                    out.extend_from_slice(&blob);
+                    merged.merge(&st.stats);
                 }
                 *self.last_send_stats.lock() = merged;
-                Ok(out)
-            };
-            return run().map_err(to_serlab);
-        }
-        let mut run = || -> Result<Vec<u8>> {
+                // One lane per stream, each with its root-index table:
+                // work stealing makes the assignment dynamic, so the wire
+                // must say which roots a stream carries.
+                return Ok(send
+                    .streams
+                    .into_iter()
+                    .zip(send.root_order)
+                    .map(|(st, roots)| Lane { roots, chunks: st.chunks })
+                    .collect());
+            }
             let mut sender = GraphSender::new(
                 vm,
                 &self.dir,
@@ -224,9 +188,10 @@ impl serlab::Serializer for SkywaySerializer {
             // Note what is conspicuously absent: no per-object S/D function
             // invocations are counted, because none happen.
             *self.last_send_stats.lock() = out.stats;
-            Ok(frame_chunks(&out.chunks, flags))
+            Ok(vec![Lane { roots: (0..roots.len() as u32).collect(), chunks: out.chunks }])
         };
-        run().map_err(to_serlab)
+        let lanes = run().map_err(to_serlab)?;
+        Ok(Frame { header: Header { flags, trace: obs::TraceCtx::NONE }, lanes }.encode())
     }
 
     fn deserialize(
@@ -235,100 +200,12 @@ impl serlab::Serializer for SkywaySerializer {
         bytes: &[u8],
         _profile: &mut Profile,
     ) -> serlab::Result<Vec<Addr>> {
-        // The blob bounds the bytes it places (uncompressed); making room
-        // now, before any of it is placed, keeps a VM that only receives
-        // from filling its old generation with dead input buffers.
-        vm.reserve_old(bytes.len() as u64).map_err(serlab::Error::Heap)?;
-        if bytes.starts_with(b"MSKY") {
-            // Multi-stream container: each stream is an independent input
-            // buffer set carrying its own root-index table; roots land
-            // back at their original positions regardless of which worker
-            // stream the work-stealing traversal assigned them to.
-            let mut run = || -> Result<Vec<Addr>> {
-                if bytes.len() < 6 {
-                    return Err(Error::BadFrame("truncated MSKY container".into()));
-                }
-                let mut hdr = [0u8; 2];
-                hdr.copy_from_slice(&bytes[4..6]);
-                let n = u16::from_le_bytes(hdr) as usize;
-                let mut pos = 6usize;
-                let read_u32 = |pos: &mut usize| -> Result<usize> {
-                    let b = bytes
-                        .get(*pos..*pos + 4)
-                        .ok_or_else(|| Error::BadFrame("truncated MSKY stream header".into()))?;
-                    let mut w = [0u8; 4];
-                    w.copy_from_slice(b);
-                    *pos += 4;
-                    Ok(u32::from_le_bytes(w) as usize)
-                };
-                // Pass 1: parse every table and blob boundary before any
-                // heap mutation, so corrupt containers error out with
-                // nothing absorbed. Every section costs at least its two
-                // 4-byte headers: the bytes left bound the capacity,
-                // whatever count the header claims.
-                let mut sections: Vec<(Vec<usize>, &[u8])> =
-                    Vec::with_capacity(n.min((bytes.len() - pos) / 8));
-                for _ in 0..n {
-                    let count = read_u32(&mut pos)?;
-                    if count > bytes.len() / 4 {
-                        return Err(Error::BadFrame("MSKY root table longer than body".into()));
-                    }
-                    let mut order = Vec::with_capacity(count);
-                    for _ in 0..count {
-                        order.push(read_u32(&mut pos)?);
-                    }
-                    let len = read_u32(&mut pos)?;
-                    let blob = bytes
-                        .get(pos..pos + len)
-                        .ok_or_else(|| Error::BadFrame("truncated MSKY stream body".into()))?;
-                    pos += len;
-                    sections.push((order, blob));
-                }
-                let total: usize = sections.iter().map(|(o, _)| o.len()).sum();
-                if sections.iter().flat_map(|(o, _)| o).any(|&ix| ix >= total) {
-                    return Err(Error::BadFrame("MSKY root index out of range".into()));
-                }
-                let mut slots: Vec<Option<Addr>> = vec![None; total];
-                for (order, blob) in sections {
-                    let roots = self.receive_blob(vm, blob)?;
-                    if roots.len() != order.len() {
-                        return Err(Error::BadFrame(format!(
-                            "MSKY stream carried {} roots but its table lists {}",
-                            roots.len(),
-                            order.len()
-                        )));
-                    }
-                    for (ix, addr) in order.into_iter().zip(roots) {
-                        if slots[ix].replace(addr).is_some() {
-                            return Err(Error::BadFrame(format!("duplicate MSKY root index {ix}")));
-                        }
-                    }
-                }
-                slots
-                    .into_iter()
-                    .map(|s| s.ok_or_else(|| Error::BadFrame("MSKY root index gap".into())))
-                    .collect()
-            };
-            return run().map_err(to_serlab);
-        }
-        self.receive_blob(vm, bytes).map_err(to_serlab)
+        receive_frame(vm, &self.dir, self.node, bytes, self.hooks.as_deref()).map_err(to_serlab)
     }
 
     fn preserves_sharing(&self) -> bool {
         true
     }
-}
-
-fn merge_stats(into: &mut SendStats, s: &SendStats) {
-    into.objects += s.objects;
-    into.total_bytes += s.total_bytes;
-    into.header_bytes += s.header_bytes;
-    into.padding_bytes += s.padding_bytes;
-    into.pointer_bytes += s.pointer_bytes;
-    into.data_bytes += s.data_bytes;
-    into.marker_bytes += s.marker_bytes;
-    into.fallback_hits += s.fallback_hits;
-    into.cas_conflicts += s.cas_conflicts;
 }
 
 fn to_serlab(e: Error) -> serlab::Error {

@@ -286,7 +286,7 @@ impl<'a> SkywayObjectInputStream<'a> {
     }
 
     /// Re-attaches a transfer trace context on the receiving side (wire
-    /// carriers do this automatically from traced frame headers).
+    /// carriers do this automatically from the frame header).
     #[must_use]
     pub fn with_trace(mut self, ctx: obs::TraceCtx) -> Self {
         self.receiver = self.receiver.with_trace(ctx);

@@ -183,3 +183,20 @@ fn compression_works_with_small_chunks() {
         assert!(verify_media_content(&receiver, mc, i as u64).unwrap());
     }
 }
+
+#[test]
+fn compressed_two_lane_roundtrip() {
+    let (dir, mut sender, mut receiver) = setup();
+    let handles = build_dataset(&mut sender, 24).unwrap();
+    let roots: Vec<Addr> = handles.iter().map(|h| sender.resolve(*h).unwrap()).collect();
+    let tx = serializer(&dir, 0, true).with_parallel_streams(2);
+    let rx = serializer(&dir, 1, true).with_parallel_streams(2);
+    let mut p = Profile::new();
+    let bytes = tx.serialize(&mut sender, &roots, &mut p).unwrap();
+    let rebuilt = rx.deserialize(&mut receiver, &bytes, &mut p).unwrap();
+    assert_eq!(rebuilt.len(), 24);
+    for (i, &mc) in rebuilt.iter().enumerate() {
+        assert!(verify_media_content(&receiver, mc, i as u64).unwrap(), "record {i}");
+    }
+    assert!(receiver.verify_heap().unwrap().is_empty());
+}

@@ -7,6 +7,7 @@ use mheap::{Addr, ClassPath, HeapConfig, LayoutSpec, Vm};
 use serlab::jsbs::{build_dataset, define_jsbs_classes, verify_media_content};
 use serlab::Serializer;
 use simnet::{NodeId, Profile};
+use skyway::buffer::Frame;
 use skyway::{ShuffleController, SkywaySerializer, TypeDirectory};
 
 fn setup() -> (Arc<TypeDirectory>, Vm, Vm) {
@@ -41,7 +42,11 @@ fn parallel_streams_preserve_root_order() {
         let rx = serializer(&dir, 1, threads);
         let mut p = Profile::new();
         let bytes = tx.serialize(&mut sender, &roots, &mut p).unwrap();
-        assert!(bytes.starts_with(b"MSKY"));
+        // One lane per stream that emitted roots, their root tables
+        // together naming every record once.
+        let frame = Frame::parse(&bytes).unwrap();
+        assert!((1..=threads).contains(&frame.lanes.len()));
+        assert_eq!(frame.lanes.iter().map(|l| l.roots.len()).sum::<usize>(), 41);
         let rebuilt = rx.deserialize(&mut receiver, &bytes, &mut p).unwrap();
         assert_eq!(rebuilt.len(), 41);
         for (i, &mc) in rebuilt.iter().enumerate() {
@@ -61,7 +66,10 @@ fn single_stream_config_stays_plain_format() {
     let tx = serializer(&dir, 0, 1);
     let mut p = Profile::new();
     let bytes = tx.serialize(&mut sender, &roots, &mut p).unwrap();
-    assert!(bytes.starts_with(b"SKYW"));
+    // One lane whose root table is the identity.
+    let frame = Frame::parse(&bytes).unwrap();
+    assert_eq!(frame.lanes.len(), 1);
+    assert_eq!(frame.lanes[0].roots, (0..5).collect::<Vec<u32>>());
     let rx = serializer(&dir, 1, 1);
     assert_eq!(rx.deserialize(&mut receiver, &bytes, &mut p).unwrap().len(), 5);
 }
@@ -87,8 +95,8 @@ fn parallel_streams_duplicate_cross_stream_shared_objects() {
     let mut p = Profile::new();
     let bytes = tx.serialize(&mut sender, &roots, &mut p).unwrap();
     // Work stealing decides how many of the 4 workers actually emit roots;
-    // the container header records how many streams were shipped.
-    let streams = u16::from_le_bytes([bytes[4], bytes[5]]) as usize;
+    // the frame carries one lane per stream shipped.
+    let streams = Frame::parse(&bytes).unwrap().lanes.len();
     assert!((1..=4).contains(&streams));
     let rebuilt = rx.deserialize(&mut receiver, &bytes, &mut p).unwrap();
     let firsts: Vec<Addr> =
@@ -115,7 +123,8 @@ fn truncated_container_is_an_error() {
     let mut p = Profile::new();
     let bytes = tx.serialize(&mut sender, &roots, &mut p).unwrap();
     assert!(rx.deserialize(&mut receiver, &bytes[..bytes.len() / 2], &mut p).is_err());
-    assert!(rx.deserialize(&mut receiver, b"MSKY\x02", &mut p).is_err());
+    // A truncated frame header.
+    assert!(rx.deserialize(&mut receiver, &bytes[..6], &mut p).is_err());
 }
 
 #[test]

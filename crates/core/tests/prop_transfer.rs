@@ -141,11 +141,12 @@ fn transfer_env() -> (Arc<TypeDirectory>, Vm, Vm) {
     (dir, sender, receiver)
 }
 
-/// Flips bytes of a serialized graph and deserializes it: corruption must
-/// never panic, and a stream the receiver accepts (flips that only hit
-/// primitive payload or dead padding) must leave a heap `verify_heap`
-/// finds clean.
-fn corrupted_stream_case(spec: &GraphSpec, flips: &[(u16, u8)]) -> TestCaseResult {
+/// Flips bytes of a serialized graph, sent on `lanes` parallel streams
+/// (so two lanes put flips in lane headers and root tables too), and
+/// deserializes it: corruption must never panic, and a stream the receiver
+/// accepts (flips that only hit primitive payload or dead padding) must
+/// leave a heap `verify_heap` finds clean.
+fn corrupted_stream_case(spec: &GraphSpec, lanes: usize, flips: &[(u16, u8)]) -> TestCaseResult {
     let (dir, mut sender, mut receiver) = transfer_env();
     let handles = build(&mut sender, spec);
     let roots: Vec<Addr> =
@@ -155,7 +156,8 @@ fn corrupted_stream_case(spec: &GraphSpec, flips: &[(u16, u8)]) -> TestCaseResul
         NodeId(0),
         Arc::new(ShuffleController::new()),
         LayoutSpec::SKYWAY,
-    );
+    )
+    .with_parallel_streams(lanes);
     let sky_rx = SkywaySerializer::new(
         Arc::clone(&dir),
         NodeId(1),
@@ -239,9 +241,10 @@ proptest! {
     #[test]
     fn corrupted_skyway_streams_error_not_panic(
         spec in graph_spec(20),
+        lanes in 1usize..3,
         flips in proptest::collection::vec((any::<u16>(), any::<u8>()), 1..6),
     ) {
-        corrupted_stream_case(&spec, &flips)?;
+        corrupted_stream_case(&spec, lanes, &flips)?;
     }
 
     #[test]
@@ -283,9 +286,10 @@ proptest! {
     #[ignore = "20 000-case sweep; run with --ignored in release mode"]
     fn corrupted_skyway_streams_sweep(
         spec in graph_spec(20),
+        lanes in 1usize..3,
         flips in proptest::collection::vec((any::<u16>(), any::<u8>()), 1..6),
     ) {
-        corrupted_stream_case(&spec, &flips)?;
+        corrupted_stream_case(&spec, lanes, &flips)?;
     }
 }
 

@@ -8,10 +8,11 @@ use mheap::{Addr, ClassPath, HeapConfig, LayoutSpec, Vm};
 use serlab::jsbs::{build_dataset, define_jsbs_classes, verify_media_content};
 use serlab::Serializer;
 use simnet::{Cluster, NodeId, Profile, SimConfig};
+use skyway::buffer::{Frame, Header, Lane, FLAG_COMPRESSED};
 use skyway::{
     scrub_baddrs, send_roots_parallel, ParallelConfig, SendConfig, ShuffleController,
     SkywayFileInputStream, SkywayObjectInputStream, SkywayObjectOutputStream, SkywaySerializer,
-    Tracking, TypeDirectory, UpdateRegistry,
+    SkywaySocketInputStream, SkywaySocketOutputStream, Tracking, TypeDirectory, UpdateRegistry,
 };
 
 fn classpath() -> Arc<ClassPath> {
@@ -29,6 +30,12 @@ fn setup_pair() -> (Arc<TypeDirectory>, Vm, Vm) {
     dir.bootstrap_driver(&sender).unwrap();
     dir.worker_startup(NodeId(1)).unwrap();
     (dir, sender, receiver)
+}
+
+/// `frame` again, its one lane's chunks replaced by `chunks`.
+fn with_chunks(frame: &Frame<&[u8]>, chunks: Vec<Vec<u8>>) -> Vec<u8> {
+    let roots = frame.lanes[0].roots.clone();
+    Frame { header: frame.header, lanes: vec![Lane { roots, chunks }] }.encode()
 }
 
 fn skyway_for(dir: &Arc<TypeDirectory>, node: usize) -> SkywaySerializer {
@@ -482,9 +489,10 @@ fn corrupt_stream_is_an_error() {
     let sky_rx = skyway_for(&dir, 1);
     let mut p = Profile::new();
     let mut bytes = sky_tx.serialize(&mut sender, &[s], &mut p).unwrap();
-    // Corrupt the tID of the first object (after the 10-byte frame header,
-    // 4-byte chunk len, 8-byte TOP_MARK, 8-byte mark word).
-    let off = 10 + 4 + 8 + 8;
+    // Corrupt the tID of the first object: after the 24-byte frame header,
+    // the lane's root count and one-entry root table, its chunk count, the
+    // 4-byte chunk len, the 8-byte TOP_MARK and the 8-byte mark word.
+    let off = 24 + 4 + 4 + 4 + 4 + 8 + 8;
     bytes[off..off + 8].copy_from_slice(&u64::MAX.to_le_bytes());
     assert!(sky_rx.deserialize(&mut receiver, &bytes, &mut p).is_err());
 }
@@ -497,9 +505,10 @@ fn misaligned_relative_addresses_are_rejected() {
     let mut p = Profile::new();
     // The string twice: the repeat goes out as a top reference.
     let blob = skyway_for(&dir, 0).serialize(&mut sender, &[s, s], &mut p).unwrap();
-    let (flags, chunks) = skyway::buffer::parse_frames(&blob).unwrap();
-    assert_eq!(chunks.len(), 1);
-    let chunk = chunks[0].to_vec();
+    let frame = Frame::parse(&blob).unwrap();
+    assert_eq!(frame.lanes.len(), 1);
+    assert_eq!(frame.lanes[0].chunks.len(), 1);
+    let chunk = frame.lanes[0].chunks[0].to_vec();
     let word = |c: &[u8], at: usize| u64::from_le_bytes(c[at..at + 8].try_into().unwrap());
     // Top mark, then the string at logical 8, its char array, and last the
     // top reference to logical 8 (stored as logical + 1).
@@ -510,7 +519,7 @@ fn misaligned_relative_addresses_are_rejected() {
         let mut bad = chunk.clone();
         let v = word(&bad, at) + 4;
         bad[at..at + 8].copy_from_slice(&v.to_le_bytes());
-        let blob = skyway::buffer::frame_chunks(&[bad], flags);
+        let blob = with_chunks(&frame, vec![bad]);
         let mut receiver = Vm::new("n1", &HeapConfig::default(), classpath()).unwrap();
         let err = skyway_for(&dir, 1).deserialize(&mut receiver, &blob, &mut p).unwrap_err();
         let want = skyway::Error::MisalignedRelativeAddr(v - 1).to_string();
@@ -526,9 +535,10 @@ fn interior_relative_addresses_are_rejected() {
     let mut p = Profile::new();
     // The string twice: the repeat goes out as a top reference.
     let blob = skyway_for(&dir, 0).serialize(&mut sender, &[s, s], &mut p).unwrap();
-    let (flags, chunks) = skyway::buffer::parse_frames(&blob).unwrap();
-    assert_eq!(chunks.len(), 1);
-    let chunk = chunks[0].to_vec();
+    let frame = Frame::parse(&blob).unwrap();
+    assert_eq!(frame.lanes.len(), 1);
+    assert_eq!(frame.lanes[0].chunks.len(), 1);
+    let chunk = frame.lanes[0].chunks[0].to_vec();
     let word = |c: &[u8], at: usize| u64::from_le_bytes(c[at..at + 8].try_into().unwrap());
     let top_ref = chunk.len() - 8;
     assert_eq!(word(&chunk, top_ref), 8 + 1);
@@ -539,7 +549,7 @@ fn interior_relative_addresses_are_rejected() {
         let mut bad = chunk.clone();
         let v = word(&bad, at) + 8;
         bad[at..at + 8].copy_from_slice(&v.to_le_bytes());
-        let blob = skyway::buffer::frame_chunks(&[bad], flags);
+        let blob = with_chunks(&frame, vec![bad]);
         let mut receiver = Vm::new("n1", &HeapConfig::default(), classpath()).unwrap();
         let err = skyway_for(&dir, 1).deserialize(&mut receiver, &blob, &mut p).unwrap_err();
         let want = skyway::Error::MisalignedRelativeAddr(v - 1).to_string();
@@ -553,8 +563,7 @@ fn foreign_object_format_is_a_spec_mismatch() {
     let s = sender.new_string("framed for another format").unwrap();
     let mut p = Profile::new();
     let blob = skyway_for(&dir, 0).serialize(&mut sender, &[s], &mut p).unwrap();
-    let (flags, chunks) = skyway::buffer::parse_frames(&blob).unwrap();
-    let chunks: Vec<Vec<u8>> = chunks.iter().map(|c| c.to_vec()).collect();
+    let frame = Frame::parse(&blob).unwrap();
     // Flag bit 0 is the baddr word: toggled, the frame names a format the
     // receiver does not run.
     let foreign_spec =
@@ -564,16 +573,22 @@ fn foreign_object_format_is_a_spec_mismatch() {
         local: format!("{:?}", LayoutSpec::SKYWAY),
     }
     .to_string();
-    let foreign = skyway::buffer::frame_chunks(&chunks, flags ^ 1);
-    // The same, also flagged as compressed wire (bit 2).
-    let foreign_compressed = skyway::buffer::frame_chunks(&chunks, (flags ^ 1) | 0b100);
-    // A multi-stream container whose one stream carries root 0.
-    let mut msky = b"MSKY".to_vec();
-    msky.extend_from_slice(&1u16.to_le_bytes());
-    msky.extend_from_slice(&1u32.to_le_bytes());
-    msky.extend_from_slice(&0u32.to_le_bytes());
-    msky.extend_from_slice(&(foreign.len() as u32).to_le_bytes());
-    msky.extend_from_slice(&foreign);
+    let reflag = |flags: u8, lanes: usize| {
+        let lane = &frame.lanes[0];
+        Frame {
+            header: Header { flags, ..frame.header },
+            lanes: (0..lanes as u32)
+                .map(|i| Lane { roots: vec![i], chunks: lane.chunks.clone() })
+                .collect(),
+        }
+        .encode()
+    };
+    let flags = frame.header.flags;
+    let foreign = reflag(flags ^ 1, 1);
+    // The same, also flagged as compressed wire.
+    let foreign_compressed = reflag((flags ^ 1) | FLAG_COMPRESSED, 1);
+    // Two lanes, one root each.
+    let two_lanes = reflag(flags ^ 1, 2);
 
     let sky_rx = skyway_for(&dir, 1);
     let mut receiver = Vm::new("n1", &HeapConfig::default(), classpath()).unwrap();
@@ -581,7 +596,7 @@ fn foreign_object_format_is_a_spec_mismatch() {
     for (what, bytes) in [
         ("single stream", &foreign),
         ("compressed single stream", &foreign_compressed),
-        ("MSKY", &msky),
+        ("two lanes", &two_lanes),
     ] {
         let err = sky_rx.deserialize(&mut receiver, bytes, &mut p).unwrap_err();
         assert!(matches!(&err, serlab::Error::Malformed(m) if *m == want), "{what}: {err:?}");
@@ -599,6 +614,27 @@ fn foreign_object_format_is_a_spec_mismatch() {
     )
     .unwrap_err();
     assert_eq!(err.to_string(), want, "file stream");
+
+    // A socket stream written for the stock format: the carrier must name
+    // the format, or the receiver misreads the objects.
+    let s = sender.new_string("framed for another format").unwrap();
+    let cfg = SendConfig { receiver_spec: LayoutSpec::STOCK, ..SendConfig::for_vm(&sender) };
+    let controller = ShuffleController::new();
+    let mut out =
+        SkywaySocketOutputStream::connect(&sender, &dir, NodeId(0), NodeId(1), &controller, cfg)
+            .unwrap();
+    out.write_object(s, &mut cluster).unwrap();
+    out.close(&mut cluster).unwrap();
+    let err = SkywaySocketInputStream::read_all(
+        &mut receiver,
+        &dir,
+        NodeId(1),
+        NodeId(0),
+        &mut cluster,
+        None,
+    )
+    .unwrap_err();
+    assert!(matches!(err, skyway::Error::SpecMismatch { .. }), "socket stream: {err:?}");
 }
 
 #[test]

@@ -508,6 +508,7 @@ fn translate_stream(
     // tid → klass, resolved (and recorded on the builder) once per class
     // instead of once per object — name lookups dominate otherwise.
     let mut klass_cache: HashMap<u32, Arc<mheap::Klass>> = HashMap::new();
+    let tracer = obs::global().tracer();
     while at < len {
         let w = word_at(bytes, at)?;
         if w == TOP_MARK {
@@ -532,7 +533,7 @@ fn translate_stream(
         let klass = match klass_cache.get(&tid) {
             Some(k) => Arc::clone(k),
             None => {
-                let name = dir.name_for_tid(node, tid)?;
+                let name = dir.name_for_tid(node, tid, tracer, obs::TraceCtx::NONE, &vm.name)?;
                 let k = match vm.klasses().by_name(&name) {
                     Some(k) => k,
                     None => {

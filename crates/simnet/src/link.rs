@@ -17,9 +17,10 @@ use crate::cluster::SimConfig;
 ///
 /// For each chunk that becomes ready (fully produced) at time `ready`,
 /// [`LinkClock::send`] charges transmission starting when both the chunk
-/// and the link are available, and returns the arrival time at the far
-/// end (one-way latency added once per chunk — chunks are cut-through,
-/// so latencies of consecutive chunks overlap on the wire).
+/// and the link are available, and returns the occupancy interval and the
+/// arrival time at the far end (one-way latency added once per chunk —
+/// chunks are cut-through, so latencies of consecutive chunks overlap on
+/// the wire).
 #[derive(Debug, Clone)]
 pub struct LinkClock {
     bandwidth_bps: u64,
@@ -43,24 +44,13 @@ impl LinkClock {
         }
     }
 
-    /// Schedules a chunk of `bytes` that becomes ready at `ready_ns`.
-    /// Returns its arrival time at the receiver.
-    pub fn send(&mut self, ready_ns: u64, bytes: u64) -> u64 {
-        self.send_traced(ready_ns, bytes).arrival_ns
-    }
-
-    /// Like [`LinkClock::send`], but also reports the wire-occupancy
-    /// interval so callers can emit a simulated-clock trace span for the
-    /// transmission.
-    pub fn send_traced(&mut self, ready_ns: u64, bytes: u64) -> LinkXmit {
-        self.send_traced_on(0, ready_ns, bytes)
-    }
-
-    /// [`LinkClock::send_traced`] attributed to stream `lane`: the chunk
-    /// still serializes with every other lane's chunks on the shared
-    /// physical wire, but its occupancy is charged to that lane's bucket
-    /// so a parallel transfer can report per-stream wire shares.
-    pub fn send_traced_on(&mut self, lane: usize, ready_ns: u64, bytes: u64) -> LinkXmit {
+    /// Schedules a chunk of `bytes` from stream `lane` that becomes ready
+    /// at `ready_ns`, and returns its wire-occupancy interval and arrival
+    /// time (callers emit a simulated-clock trace span from it). The chunk
+    /// serializes with every other lane's chunks on the shared physical
+    /// wire, but its occupancy is charged to that lane's bucket so a
+    /// parallel transfer can report per-stream wire shares.
+    pub fn send(&mut self, lane: usize, ready_ns: u64, bytes: u64) -> LinkXmit {
         let start = self.free_at_ns.max(ready_ns);
         let tx = bytes.saturating_mul(1_000_000_000) / self.bandwidth_bps;
         self.free_at_ns = start.saturating_add(tx);
@@ -132,26 +122,26 @@ mod tests {
     fn back_to_back_chunks_serialize_on_the_wire() {
         let mut l = LinkClock::new(&cfg());
         // Both ready at t=0: the second waits for the link.
-        assert_eq!(l.send(0, 100), 150); // 0..100 on wire, +50 latency
-        assert_eq!(l.send(0, 100), 250); // 100..200 on wire, +50
+        assert_eq!(l.send(0, 0, 100).arrival_ns, 150); // 0..100 on wire, +50 latency
+        assert_eq!(l.send(0, 0, 100).arrival_ns, 250); // 100..200 on wire, +50
         assert_eq!(l.busy_ns(), 200);
     }
 
     #[test]
     fn late_chunk_waits_for_production_not_link() {
         let mut l = LinkClock::new(&cfg());
-        assert_eq!(l.send(0, 100), 150);
+        assert_eq!(l.send(0, 0, 100).arrival_ns, 150);
         // Ready only at t=500, link free since t=100: starts at 500.
-        assert_eq!(l.send(500, 100), 650);
+        assert_eq!(l.send(0, 500, 100).arrival_ns, 650);
         assert_eq!(l.free_at(), 600);
     }
 
     #[test]
     fn traced_send_reports_the_occupancy_interval() {
         let mut l = LinkClock::new(&cfg());
-        assert_eq!(l.send(0, 100), 150);
+        assert_eq!(l.send(0, 0, 100).arrival_ns, 150);
         // Ready at t=50 but the link is busy until t=100.
-        let x = l.send_traced(50, 100);
+        let x = l.send(0, 50, 100);
         assert_eq!(x, LinkXmit { start_ns: 100, end_ns: 200, arrival_ns: 250 });
         assert_eq!(l.busy_ns(), 200);
     }
@@ -159,9 +149,9 @@ mod tests {
     #[test]
     fn lane_accounting_splits_shared_wire_time() {
         let mut l = LinkClock::new(&cfg());
-        l.send_traced_on(0, 0, 100);
-        l.send_traced_on(1, 0, 300);
-        let x = l.send_traced_on(0, 0, 100);
+        l.send(0, 0, 100);
+        l.send(1, 0, 300);
+        let x = l.send(0, 0, 100);
         // Lanes share one wire: the last chunk queued behind both others.
         assert_eq!(x.start_ns, 400);
         assert_eq!(l.busy_ns(), 500);
@@ -182,7 +172,7 @@ mod tests {
         // chunk: perfect overlap means last arrival ≈ produce + one chunk.
         let mut arrival = 0;
         for i in 0..10u64 {
-            arrival = l.send(i * 100, 100);
+            arrival = l.send(0, i * 100, 100).arrival_ns;
         }
         assert_eq!(arrival, 1050);
         // The sequential model would pay produce (1000) then the whole
