@@ -8,10 +8,7 @@ use mheap::{ClassPath, HeapConfig, LayoutSpec, Vm};
 use serlab::jsbs::{build_dataset, define_jsbs_classes};
 use serlab::Serializer;
 use simnet::{NodeId, Profile};
-use skyway::{
-    send_roots_parallel, ParallelConfig, SendConfig, ShuffleController, SkywaySerializer, Tracking,
-    TypeDirectory,
-};
+use skyway::{ShuffleController, SkywaySerializer, Tracking, TypeDirectory};
 
 const N_RECORDS: usize = 500;
 
@@ -89,25 +86,21 @@ fn bench_absolutization(c: &mut Criterion) {
 }
 
 fn bench_parallel_send(c: &mut Criterion) {
-    let e = env();
-    let controller = ShuffleController::new();
+    let mut e = env();
     let mut g = c.benchmark_group("parallel_send_500_records");
     for threads in [1usize, 2, 4] {
+        let sky = SkywaySerializer::new(
+            Arc::clone(&e.dir),
+            NodeId(0),
+            Arc::new(ShuffleController::new()),
+            LayoutSpec::SKYWAY,
+        )
+        .with_parallel_streams(threads);
         g.bench_function(format!("{threads}_threads"), |b| {
-            let par = ParallelConfig::with_workers(threads);
             b.iter(|| {
-                controller.start_phase();
-                send_roots_parallel(
-                    &e.vm,
-                    &e.dir,
-                    NodeId(0),
-                    controller.sid(),
-                    controller.next_stream_block(threads as u16),
-                    &e.roots,
-                    &par,
-                    SendConfig::for_vm(&e.vm),
-                )
-                .unwrap()
+                sky.controller().start_phase();
+                let mut p = Profile::new();
+                sky.serialize(&mut e.vm, &e.roots, &mut p).unwrap()
             })
         });
     }

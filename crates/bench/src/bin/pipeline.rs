@@ -22,7 +22,7 @@ use mheap::{Addr, ClassPath, HeapConfig, Vm};
 use serlab::jsbs::{build_dataset, define_jsbs_classes};
 use simnet::{NodeId, SimConfig};
 use skyway::{
-    GraphReceiver, GraphSender, PipelineConfig, PipelineEngine, ReceiveStats, SendConfig,
+    GraphSender, PipelineConfig, PipelineEngine, ReceiveStats, SendConfig, SkywayObjectInputStream,
     TypeDirectory,
 };
 use sparklite::classes::{define_spark_classes, new_edge};
@@ -88,11 +88,11 @@ fn sequential_once(
     let out = gs.finish();
     let produce_raw = t0.elapsed().as_nanos() as u64;
     let t1 = Instant::now();
-    let mut gr = GraphReceiver::new(receiver, dir, NodeId(1));
+    let mut gr = SkywayObjectInputStream::new(receiver, dir, NodeId(1));
     for c in &out.chunks {
         gr.push_chunk(c).expect("push_chunk");
     }
-    let (_, stats) = gr.finish(None).expect("finish");
+    let (_, stats) = gr.read_objects(None).expect("read_objects");
     let absorb_raw = t1.elapsed().as_nanos() as u64;
     let produce_ns = scale_ns(produce_raw, sim);
     let absorb_ns = scale_ns(absorb_raw, sim);

@@ -17,8 +17,10 @@
 //! wire-logical → expanded-logical offset map; a second pass emits the
 //! expanded stream (headers widened, reference slots re-based through the
 //! map). The expanded stream then flows through the ordinary
-//! [`crate::receiver::GraphReceiver`], so GC interaction, card dirtying,
-//! and root recovery are shared, not duplicated.
+//! [`crate::receiver::SkywayObjectInputStream`], so GC interaction, card
+//! dirtying, root recovery and roll-back on rejection are shared, not
+//! duplicated. Expansion places nothing in the heap, so a stream it
+//! rejects leaves nothing to roll back.
 
 use std::collections::HashMap;
 

@@ -18,7 +18,7 @@ use mheap::Vm;
 use simnet::{Cluster, NodeId};
 
 use crate::buffer::{parse_stream_header, spec_flags, Frame, Header, Lane};
-use crate::receiver::{receive_frame, GraphReceiver};
+use crate::receiver::{receive_frame, SkywayObjectInputStream};
 use crate::registry::TypeDirectory;
 use crate::sender::{GraphSender, SendConfig, SendStats};
 use crate::stream::{ShuffleController, UpdateRegistry};
@@ -234,7 +234,7 @@ impl SkywaySocketInputStream {
         // still read to its end marker, so the link stays in step for the
         // next stream.
         let mut placed = header.check_spec(vm.spec());
-        let mut rx = GraphReceiver::new(vm, dir, node).with_trace(header.trace);
+        let mut rx = SkywayObjectInputStream::new(vm, dir, node).with_trace(header.trace);
         loop {
             let chunk = cluster.net_recv(node, src).map_err(Error::Cluster)?;
             if chunk.is_empty() {
@@ -245,7 +245,7 @@ impl SkywaySocketInputStream {
             }
         }
         placed?;
-        let (roots, _) = rx.finish(hooks)?;
+        let (roots, _) = rx.read_objects(hooks)?;
         Ok(roots)
     }
 }

@@ -10,12 +10,13 @@
 //!   cluster-wide;
 //! * [`sender`] — the GC-like traversal (§4.2, Algorithm 2): clone objects
 //!   into per-destination output buffers, sanitize headers, relativize
-//!   references through the `baddr` word, stream chunks, support parallel
-//!   sender threads via CAS;
+//!   references through the `baddr` word, stream chunks, and the one
+//!   sender-lane body every threaded send runs (work stealing, CAS claims);
 //! * [`receiver`] — input buffers allocated in the old generation, one
 //!   linear absolutization pass, on-demand class loading, card-table
-//!   updates (§4.3);
-//! * [`stream`] — the developer-facing API (§3.3): output/input streams,
+//!   updates (§4.3), and the input stream: the one receive front end over
+//!   a `&mut Vm`, which rolls a rejected stream back;
+//! * [`stream`] — the developer-facing API (§3.3): the output stream,
 //!   `shuffle_start`, `register_update` hooks;
 //! * [`serializer`] — the [`serlab::Serializer`] adapter that lets Skyway
 //!   drop into the same shuffle pipelines as Kryo and the Java serializer.
@@ -78,17 +79,11 @@ pub use io::{
 pub use pipeline::{
     sequential_transfer, PipelineConfig, PipelineEngine, PipelineReport, TransferMode,
 };
-pub use receiver::{GraphReceiver, ReceiveStats, StreamAbsorber, StreamIn};
+pub use receiver::{ReceiveStats, SkywayObjectInputStream, StreamAbsorber, StreamIn};
 pub use registry::{RegistryStats, TypeDirectory};
-pub use sender::{
-    send_roots_parallel, GraphSender, ParallelConfig, ParallelSend, SendConfig, SendStats,
-    StreamOut, Tracking,
-};
+pub use sender::{GraphSender, ParallelConfig, SendConfig, SendStats, StreamOut, Tracking};
 pub use serializer::SkywaySerializer;
-pub use stream::{
-    scrub_baddrs, ShuffleController, SkywayObjectInputStream, SkywayObjectOutputStream,
-    UpdateRegistry,
-};
+pub use stream::{scrub_baddrs, ShuffleController, SkywayObjectOutputStream, UpdateRegistry};
 
 /// Errors produced by Skyway.
 #[derive(Debug)]

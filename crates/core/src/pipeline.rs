@@ -44,9 +44,9 @@ use mheap::{Addr, Vm};
 use simnet::{Cluster, LinkClock, NodeId, SimConfig};
 
 use crate::buffer::ChunkPool;
-use crate::receiver::{GraphReceiver, ReceiveStats, StreamAbsorber, StreamIn};
+use crate::receiver::{ReceiveStats, SkywayObjectInputStream, StreamAbsorber, StreamIn};
 use crate::registry::TypeDirectory;
-use crate::sender::{GraphSender, ParallelConfig, SendConfig, SendStats, StealSet};
+use crate::sender::{GraphSender, LaneSent, ParallelConfig, SendConfig, SendStats, StealSet};
 use crate::stream::UpdateRegistry;
 use crate::{Error, Result};
 
@@ -208,14 +208,6 @@ pub struct PipelineReport {
 }
 
 impl PipelineReport {
-    /// Fraction of sequential time the pipeline saved (0..1).
-    pub fn speedup(&self) -> f64 {
-        if self.sequential_ns == 0 {
-            return 0.0;
-        }
-        1.0 - self.pipelined_ns as f64 / self.sequential_ns as f64
-    }
-
     /// Charges this transfer into a [`Cluster`]'s per-node profiles using
     /// the chunk-granularity accounting: scaled traversal CPU as `Ser` on
     /// `src`, scaled absolutization CPU as `Deser` on `dst`, and each chunk
@@ -501,7 +493,7 @@ impl PipelineEngine {
         let out = gs.finish();
         let produce_raw_ns = t0.elapsed().as_nanos() as u64;
 
-        let mut gr = GraphReceiver::new(receiver_vm, dir, dst)
+        let mut gr = SkywayObjectInputStream::new(receiver_vm, dir, dst)
             .with_metrics(Arc::clone(&self.metrics.registry));
         if !ctx.is_none() {
             gr = gr.with_trace(ctx);
@@ -510,7 +502,7 @@ impl PipelineEngine {
         for c in &out.chunks {
             gr.push_chunk(c)?;
         }
-        let (roots_out, recv_stats) = gr.finish(hooks)?;
+        let (roots_out, recv_stats) = gr.read_objects(hooks)?;
         let absorb_raw_ns = t1.elapsed().as_nanos() as u64;
 
         let timeline: Vec<(u64, u64, u64)> =
@@ -533,18 +525,20 @@ impl PipelineEngine {
         Ok((roots_out, self.schedule(run, pool0, ctx, link_node)))
     }
 
-    /// The threaded run, for any lane count: `lanes` sender lanes share
-    /// the root set through a [`StealSet`] (roots start as contiguous
-    /// blocks, idle lanes steal), each lane streams its chunks through its own
-    /// bounded channel to its own [`StreamAbsorber`], and all absorbers
-    /// place input buffers concurrently through the receiving heap's
-    /// shared old-generation window. Lane `t` sends as stream
-    /// `stream_base + t`; cross-stream CAS races on `baddr` duplicate
-    /// contended objects per stream exactly as on the sequential parallel
-    /// path. The lanes' [`StreamIn`]s merge into one, finished on the
-    /// calling thread — one batched card-table pass, then update hooks —
-    /// after every lane joined and the shared window closed. One lane is
-    /// [`TransferMode::Pipelined`], more are [`TransferMode::Parallel`].
+    /// The threaded run, for any lane count: `lanes` sender threads run
+    /// [`StealSet::send_lane`] over one root set (roots start as
+    /// contiguous blocks, idle lanes steal), each shipping its chunks
+    /// through its own bounded channel to its own [`StreamAbsorber`]
+    /// thread, and all absorbers place input buffers concurrently through
+    /// the receiving heap's shared old-generation window. Lane `t` sends
+    /// as stream `stream_base + t`; cross-stream CAS races on `baddr`
+    /// duplicate contended objects per stream, as in the serializer's
+    /// lanes. A lane whose absorber fails rolls its own buffers back
+    /// before its thread returns. The lanes' [`StreamIn`]s merge into
+    /// one, finished on the calling thread — one batched card-table pass,
+    /// then update hooks — after every lane joined and the shared window
+    /// closed. One lane is [`TransferMode::Pipelined`], more are
+    /// [`TransferMode::Parallel`].
     ///
     /// Lane produce/absorb time is measured on the *thread* CPU clock
     /// ([`obs::thread_cpu_ns`]), not wall time: on a host with fewer cores
@@ -569,12 +563,6 @@ impl PipelineEngine {
         lanes: usize,
         pool0: (u64, u64),
     ) -> Result<(Vec<Addr>, PipelineReport)> {
-        struct SenderOut {
-            stats: SendStats,
-            order: Vec<u32>,
-            produce_raw_ns: u64,
-            stall_ns: u64,
-        }
         struct AbsorbOut {
             stream_in: StreamIn,
             timeline: Vec<(u64, u64, u64)>,
@@ -595,13 +583,14 @@ impl PipelineEngine {
         let steal_set = StealSet::new(roots, lanes, self.cfg.parallel.map_or(1, |p| p.steal_batch));
         let in_flight = AtomicI64::new(0);
         let max_in_flight = AtomicU64::new(0);
+        let sender_stall_ns = AtomicU64::new(0);
 
         // All absorbers allocate input buffers concurrently through the
         // shared window; it must close again before any `&mut Vm` use.
         receiver_vm.heap_mut().begin_shared_old_alloc();
         let joined = {
             let rvm: &Vm = receiver_vm;
-            std::thread::scope(|scope| -> (Vec<Result<SenderOut>>, Vec<Result<AbsorbOut>>) {
+            std::thread::scope(|scope| -> (Vec<Result<LaneSent>>, Vec<Result<AbsorbOut>>) {
                 let mut sender_tasks = Vec::with_capacity(lanes);
                 let mut absorb_tasks = Vec::with_capacity(lanes);
                 for t in 0..lanes {
@@ -610,14 +599,11 @@ impl PipelineEngine {
                     let steal_set = &steal_set;
                     let in_flight = &in_flight;
                     let max_in_flight = &max_in_flight;
+                    let sender_stall_ns = &sender_stall_ns;
                     let metrics = &self.metrics;
                     let pool = &self.pool;
-                    sender_tasks.push(scope.spawn(move || -> Result<SenderOut> {
-                        let mut gs: Option<GraphSender<'_>> = None;
-                        let mut order: Vec<u32> = Vec::new();
-                        let mut stall_ns = 0u64;
-                        let mut open = true;
-                        let ship = |chunks: Vec<Vec<u8>>, produce_ns: u64, stall: &mut u64| {
+                    sender_tasks.push(scope.spawn(move || -> Result<LaneSent> {
+                        let ship = |chunks: Vec<Vec<u8>>, produce_ns: u64| {
                             for c in chunks {
                                 // The span covers the (possibly blocking)
                                 // hand-off, so backpressure stalls show as
@@ -636,7 +622,8 @@ impl PipelineEngine {
                                 if tx.send((c, produce_ns)).is_err() {
                                     return false;
                                 }
-                                *stall += t0.elapsed().as_nanos() as u64;
+                                let stall = t0.elapsed().as_nanos() as u64;
+                                sender_stall_ns.fetch_add(stall, Ordering::Relaxed);
                                 drop(span);
                                 let now = in_flight.fetch_add(1, Ordering::Relaxed) + 1;
                                 metrics.chunks_in_flight.set(now);
@@ -644,54 +631,13 @@ impl PipelineEngine {
                             }
                             true
                         };
-                        // The lane's thread CPU clock is read at lane
-                        // start, at each chunk boundary and at finish —
-                        // never per root.
-                        let lane0 = obs::thread_cpu_ns();
-                        while let Some((idx, root)) = steal_set.next(t, gs.as_ref()) {
-                            let s = match &mut gs {
-                                Some(s) => s,
-                                // A lane opens its stream with its first
-                                // root, so a lane whose roots were all
-                                // stolen away sends nothing.
-                                none => none.insert(
-                                    GraphSender::new(
-                                        sender_vm,
-                                        dir,
-                                        src,
-                                        sid,
-                                        stream_base.wrapping_add(t as u16),
-                                        send_cfg,
-                                    )?
-                                    .with_metrics(Arc::clone(&metrics.registry))
-                                    .with_pool(Arc::clone(pool))
-                                    .with_trace(ctx)
-                                    .with_lane(lane),
-                                ),
-                            };
-                            s.write_root(root)?;
-                            order.push(idx);
-                            let chunks = s.take_ready_chunks();
-                            if !chunks.is_empty() {
-                                let produce_ns = obs::thread_cpu_ns().saturating_sub(lane0);
-                                if !ship(chunks, produce_ns, &mut stall_ns) {
-                                    open = false;
-                                    break;
-                                }
-                            }
-                        }
-                        let (stats, produce_raw_ns) = match gs {
-                            Some(s) => {
-                                let out = s.finish();
-                                let produce_ns = obs::thread_cpu_ns().saturating_sub(lane0);
-                                if open {
-                                    ship(out.chunks, produce_ns, &mut stall_ns);
-                                }
-                                (out.stats, produce_ns)
-                            }
-                            None => (SendStats::default(), 0),
+                        let open = |stream| {
+                            Ok(GraphSender::new(sender_vm, dir, src, sid, stream, send_cfg)?
+                                .with_metrics(Arc::clone(&metrics.registry))
+                                .with_pool(Arc::clone(pool))
+                                .with_trace(ctx))
                         };
-                        Ok(SenderOut { stats, order, produce_raw_ns, stall_ns })
+                        steal_set.send_lane(t, stream_base, open, ship)
                     }));
                     absorb_tasks.push(scope.spawn(move || -> Result<AbsorbOut> {
                         let mut sa = StreamAbsorber::new(rvm, dir, dst)
@@ -741,7 +687,7 @@ impl PipelineEngine {
         // Sender errors first: a sender failure closes its channel, which
         // makes its absorber fail on the truncated stream — the sender's
         // error is the root cause.
-        let souts = joined.0.into_iter().collect::<Result<Vec<SenderOut>>>()?;
+        let souts = joined.0.into_iter().collect::<Result<Vec<LaneSent>>>()?;
         let aouts = joined.1.into_iter().collect::<Result<Vec<AbsorbOut>>>()?;
 
         // Merge on the calling thread, which owns `&mut Vm` again: roots
@@ -756,7 +702,6 @@ impl PipelineEngine {
             pending_hooks: Vec::new(),
         };
         let mut produce_raw_ns = 0u64;
-        let mut sender_stall_ns = 0u64;
         let mut receiver_stall_ns = 0u64;
         for (t, (so, ao)) in souts.iter().zip(&aouts).enumerate() {
             let lane_in = &ao.stream_in;
@@ -775,7 +720,6 @@ impl PipelineEngine {
             merged.card_spans.extend(&lane_in.card_spans);
             merged.pending_hooks.extend(&lane_in.pending_hooks);
             produce_raw_ns += so.produce_raw_ns;
-            sender_stall_ns += so.stall_ns;
             receiver_stall_ns += ao.stall_ns;
         }
         let (roots_out, recv_stats) =
@@ -791,7 +735,7 @@ impl PipelineEngine {
             recv_stats,
             produce_raw_ns,
             merge_raw_ns,
-            sender_stall_ns,
+            sender_stall_ns: sender_stall_ns.load(Ordering::Relaxed),
             receiver_stall_ns,
             max_in_flight: max_in_flight.load(Ordering::Relaxed),
             steals: steal_set.steals(),
@@ -916,24 +860,12 @@ pub fn sequential_transfer(
         gs.write_root(root)?;
     }
     let out = gs.finish();
-    let mut gr = GraphReceiver::new(receiver_vm, dir, dst);
+    let mut gr = SkywayObjectInputStream::new(receiver_vm, dir, dst);
     for c in &out.chunks {
         gr.push_chunk(c)?;
     }
-    let (roots_out, recv_stats) = gr.finish(hooks)?;
+    let (roots_out, recv_stats) = gr.read_objects(hooks)?;
     Ok((roots_out, out.stats, recv_stats))
-}
-
-// Sanity: the sender half is moved into a scoped thread holding `&Vm`,
-// `&TypeDirectory`, and `&PipelineEngine`; this is only sound because all
-// three are `Sync` (the registry serves concurrent tID lookups, the pool
-// is lock-protected). The compiler enforces it — this note is for readers.
-#[allow(dead_code)]
-fn _assert_sync(v: &Vm, d: &TypeDirectory, p: &PipelineEngine) {
-    fn is_sync<T: Sync>(_: &T) {}
-    is_sync(v);
-    is_sync(d);
-    is_sync(p);
 }
 
 #[cfg(test)]

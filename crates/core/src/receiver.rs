@@ -16,10 +16,11 @@
 //!
 //! Two front ends share one absorption core and one finish:
 //!
-//! * [`GraphReceiver`] owns a `&mut Vm` and completes one stream end to
-//!   end — the wire paths (the socket stream, [`receive_frame`] for the
-//!   serializer and file stream, the sequential reference transfer) and
-//!   the engine's inline mode use it;
+//! * [`SkywayObjectInputStream`], the paper's input stream, owns a
+//!   `&mut Vm` and completes one stream end to end — the wire paths (the
+//!   socket stream, [`receive_frame`] for the serializer and file stream,
+//!   the sequential reference transfer) and the engine's inline mode use
+//!   it;
 //! * [`StreamAbsorber`] runs the same scan over a shared `&Vm` — each lane
 //!   of an engine transfer absorbs its stream concurrently, allocating
 //!   input buffers through the heap's shared old-generation window.
@@ -28,7 +29,10 @@
 //! cross-chunk fixups into a [`StreamIn`], and [`StreamIn::finish`] —
 //! run once the caller holds `&mut Vm` again, over one stream or the
 //! merge of every lane's — dirties the card table in one batch and
-//! applies update hooks.
+//! applies update hooks. Both roll a stream back the same way too: a
+//! front end dropped before its stream finished — on any error — fills
+//! every input buffer the stream placed with filler words, so a rejected
+//! stream leaves no half-absorbed objects for heap walks to trip on.
 
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
@@ -101,32 +105,6 @@ impl ReceiveStats {
     }
 }
 
-/// Cached observability handles for the receiver's linear scan.
-#[derive(Debug)]
-struct ReceiverMetrics {
-    registry: Arc<obs::Registry>,
-    objects: Arc<obs::Counter>,
-    bytes: Arc<obs::Counter>,
-    chunks: Arc<obs::Counter>,
-    ref_fixups: Arc<obs::Counter>,
-    classes_loaded: Arc<obs::Counter>,
-    chunk_bytes: Arc<obs::Histogram>,
-}
-
-impl ReceiverMetrics {
-    fn new(registry: Arc<obs::Registry>) -> Self {
-        ReceiverMetrics {
-            objects: registry.counter(obs::names::RECEIVER_OBJECTS_ABSORBED),
-            bytes: registry.counter(obs::names::RECEIVER_BYTES_ABSORBED),
-            chunks: registry.counter(obs::names::RECEIVER_CHUNKS_ABSORBED),
-            ref_fixups: registry.counter(obs::names::RECEIVER_REF_FIXUPS),
-            classes_loaded: registry.counter(obs::names::RECEIVER_CLASSES_LOADED),
-            chunk_bytes: registry.histogram(obs::names::RECEIVER_CHUNK_BYTES),
-            registry,
-        }
-    }
-}
-
 /// The heap-independent absorption state of one stream: chunk map, caches,
 /// fixup lists, statistics. Every method takes `vm: &Vm` — the scan reads
 /// and rewrites input-buffer words through the arena's interior
@@ -140,7 +118,10 @@ struct AbsorbCore<'d> {
     /// Reference-field offsets of every resolved class, back to back.
     ref_offsets: Vec<u64>,
     stats: ReceiveStats,
-    metrics: ReceiverMetrics,
+    /// The registry this stream reports into. The scan counts into
+    /// `stats` only; [`AbsorbCore::finish_stream`] adds them to the
+    /// registry once, so the scan touches no shared atomic per object.
+    registry: Arc<obs::Registry>,
     /// Chunks absolutized so far (prefix of `chunks`).
     absorbed: usize,
     /// Roots recovered so far, in arrival order.
@@ -171,6 +152,16 @@ struct AbsorbCore<'d> {
     lane: u32,
 }
 
+impl std::fmt::Debug for AbsorbCore<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("AbsorbCore")
+            .field("node", &self.node)
+            .field("chunks", &self.chunks.len())
+            .field("bytes", &self.next_logical)
+            .finish()
+    }
+}
+
 impl<'d> AbsorbCore<'d> {
     fn new(dir: &'d TypeDirectory, node: NodeId) -> Self {
         AbsorbCore {
@@ -181,7 +172,7 @@ impl<'d> AbsorbCore<'d> {
             facts_cache: TidMap::default(),
             ref_offsets: Vec::new(),
             stats: ReceiveStats::default(),
-            metrics: ReceiverMetrics::new(Arc::clone(obs::global())),
+            registry: Arc::clone(obs::global()),
             absorbed: 0,
             roots: Vec::new(),
             ref_fixups: Vec::new(),
@@ -238,16 +229,45 @@ impl<'d> AbsorbCore<'d> {
         Ok(facts)
     }
 
-    /// Records a chunk already written at `base` into the chunk map.
-    fn note_chunk(&mut self, base: Addr, len: u64) {
+    /// The input-buffer length a received chunk needs, or `None` for an
+    /// empty chunk, which places nothing.
+    ///
+    /// # Errors
+    /// [`Error::BadFrame`] for a chunk that is not a whole number of words.
+    fn buffer_len(bytes: &[u8]) -> Result<Option<u64>> {
+        if !bytes.len().is_multiple_of(8) {
+            return Err(Error::BadFrame(format!("chunk length {} not 8-aligned", bytes.len())));
+        }
+        Ok((!bytes.is_empty()).then_some(bytes.len() as u64))
+    }
+
+    /// Copies a chunk into the input buffer at `base` (sized by
+    /// [`AbsorbCore::buffer_len`]) and appends it to the chunk map — first,
+    /// so a failed copy is rolled back with the rest.
+    fn place(&mut self, vm: &Vm, base: Addr, bytes: &[u8]) -> Result<()> {
+        let len = bytes.len() as u64;
         self.chunks.push(ChunkMap { logical_start: self.next_logical, base, len });
         self.next_logical += len;
         self.starts.resize(self.next_logical.div_ceil(512) as usize, 0);
         self.stats.chunks += 1;
         self.stats.bytes += len;
-        self.metrics.chunks.inc();
-        self.metrics.bytes.add(len);
-        self.metrics.chunk_bytes.record(len);
+        self.registry.histogram(obs::names::RECEIVER_CHUNK_BYTES).record(len);
+        vm.heap().arena().write_bytes(base.0, bytes).map_err(Error::Heap)
+    }
+
+    /// Rolls the stream back: fills every input buffer it placed with
+    /// filler words. A half-absorbed buffer still holds wire tIDs and
+    /// relative addresses that heap walks and the collector would misread;
+    /// filler parses as dead space. Every front end runs this when it is
+    /// dropped, so it is a no-op after [`AbsorbCore::finish_stream`], which
+    /// hands the buffers over as live objects. Lanes' buffers are disjoint,
+    /// so concurrent roll-backs never touch the same word.
+    fn roll_back(&mut self, vm: &Vm) {
+        for c in self.chunks.drain(..) {
+            // The range came from this heap's allocator, so the stores
+            // are in bounds and cannot fail.
+            let _ = vm.heap().fill_filler(c.base, c.len);
+        }
     }
 
     /// Translates a logical stream offset to an absolute heap address.
@@ -310,7 +330,6 @@ impl<'d> AbsorbCore<'d> {
     fn absolutize_slot(&mut self, vm: &Vm, slot: u64, scanned: u64, chunk_end: u64) -> Result<()> {
         let v = vm.heap().arena().load_word(slot).map_err(Error::Heap)?;
         self.stats.ref_fixups += 1;
-        self.metrics.ref_fixups.inc();
         if v == 0 {
             return vm.heap().arena().store_word(slot, Addr::NULL.0).map_err(Error::Heap);
         }
@@ -327,7 +346,7 @@ impl<'d> AbsorbCore<'d> {
         let name = self.dir.name_for_tid(
             self.node,
             tid,
-            self.metrics.registry.tracer(),
+            self.registry.tracer(),
             self.trace_ctx,
             &vm.name,
         )?;
@@ -335,7 +354,6 @@ impl<'d> AbsorbCore<'d> {
         let kid = vm.load_class(&name).map_err(Error::Heap)?;
         if vm.klasses().len() > loaded_before {
             self.stats.classes_loaded += 1;
-            self.metrics.classes_loaded.inc();
         }
         // Make sure the local klass knows its tid too (it may serve as a
         // sender later).
@@ -356,7 +374,7 @@ impl<'d> AbsorbCore<'d> {
         let traced = if self.trace_ctx.is_none() {
             None
         } else {
-            Some((Arc::clone(&self.metrics.registry), vm.name.clone()))
+            Some((Arc::clone(&self.registry), vm.name.clone()))
         };
         while self.absorbed < self.chunks.len() {
             let c = self.chunks[self.absorbed];
@@ -472,7 +490,6 @@ impl<'d> AbsorbCore<'d> {
                     self.pending_hooks.push((obj, hook_idx));
                 }
                 self.stats.objects += 1;
-                self.metrics.objects.inc();
                 at += size;
             }
             for i in 0..self.chunk_targets.len() {
@@ -497,11 +514,13 @@ impl<'d> AbsorbCore<'d> {
     /// the stream's own cross-chunk fixups — every chunk has arrived, so
     /// any still-unresolved target is genuinely dangling. Streams are
     /// self-contained (relative addresses never cross streams), so each
-    /// lane's absorber drains its own list. Returns the roots plus the
-    /// heap-mutating leftovers for [`StreamIn::finish`].
+    /// lane's absorber drains its own list. Adds the stream's statistics
+    /// to the registry and returns the roots plus the heap-mutating
+    /// leftovers for [`StreamIn::finish`]; the buffers are live objects
+    /// from here on, and no longer the stream's to roll back.
     fn finish_stream(&mut self, vm: &Vm, hooks: Option<&UpdateRegistry>) -> Result<StreamIn> {
         self.absorb_ready(vm, hooks)?;
-        let registry = Arc::clone(&self.metrics.registry);
+        let registry = Arc::clone(&self.registry);
         let mut span = registry.tracer().start_on(
             obs::names::TRACE_RECEIVER_FIXUP,
             self.trace_ctx,
@@ -520,6 +539,13 @@ impl<'d> AbsorbCore<'d> {
             self.roots[idx] = abs;
         }
         drop(span);
+        self.chunks.clear();
+        let reg = &self.registry;
+        reg.counter(obs::names::RECEIVER_OBJECTS_ABSORBED).add(self.stats.objects);
+        reg.counter(obs::names::RECEIVER_BYTES_ABSORBED).add(self.stats.bytes);
+        reg.counter(obs::names::RECEIVER_CHUNKS_ABSORBED).add(self.stats.chunks);
+        reg.counter(obs::names::RECEIVER_REF_FIXUPS).add(self.stats.ref_fixups);
+        reg.counter(obs::names::RECEIVER_CLASSES_LOADED).add(self.stats.classes_loaded);
         Ok(StreamIn {
             roots: std::mem::take(&mut self.roots),
             stats: self.stats,
@@ -529,41 +555,42 @@ impl<'d> AbsorbCore<'d> {
     }
 }
 
-/// The receiver side of one stream over a `&mut Vm`: accumulates chunks
-/// and absolutizes them in one pass at [`GraphReceiver::finish`].
-pub struct GraphReceiver<'a> {
+/// The analogue of `SkywayObjectInputStream` (§3.3) and the receive
+/// front end over a `&mut Vm`: feed it a stream's chunks in order, then
+/// [`SkywayObjectInputStream::read_objects`] absolutizes the input buffers
+/// and returns the roots. Dropped before `read_objects` succeeds — on any
+/// error included — it rolls the stream back.
+#[derive(Debug)]
+pub struct SkywayObjectInputStream<'a> {
     vm: &'a mut Vm,
     core: AbsorbCore<'a>,
 }
 
-impl<'a> std::fmt::Debug for GraphReceiver<'a> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("GraphReceiver")
-            .field("node", &self.core.node)
-            .field("chunks", &self.core.chunks.len())
-            .field("bytes", &self.core.next_logical)
-            .finish()
+impl Drop for SkywayObjectInputStream<'_> {
+    fn drop(&mut self) {
+        self.core.roll_back(self.vm);
     }
 }
 
-impl<'a> GraphReceiver<'a> {
-    /// Starts receiving a stream into `vm` on `node`.
+impl<'a> SkywayObjectInputStream<'a> {
+    /// Opens an input stream into `vm` on `node`.
     pub fn new(vm: &'a mut Vm, dir: &'a TypeDirectory, node: NodeId) -> Self {
-        GraphReceiver { vm, core: AbsorbCore::new(dir, node) }
+        SkywayObjectInputStream { vm, core: AbsorbCore::new(dir, node) }
     }
 
     /// Reports into `registry` instead of the process-wide default
     /// (scoped registries keep test assertions exact).
     #[must_use]
     pub fn with_metrics(mut self, registry: Arc<obs::Registry>) -> Self {
-        self.core.metrics = ReceiverMetrics::new(registry);
+        self.core.registry = registry;
         self
     }
 
     /// Re-attaches the sender's trace context so receiver-side spans
     /// (absorb, fixup, card dirtying) and subsequent GC pauses on this
-    /// VM stitch into the same transfer trace. An untraced context
-    /// ([`obs::TraceCtx::NONE`]) leaves the VM's context as it was.
+    /// VM stitch into the same transfer trace (wire carriers do this from
+    /// the frame header). An untraced context ([`obs::TraceCtx::NONE`])
+    /// leaves the VM's context as it was.
     #[must_use]
     pub fn with_trace(mut self, ctx: obs::TraceCtx) -> Self {
         if !ctx.is_none() {
@@ -573,23 +600,17 @@ impl<'a> GraphReceiver<'a> {
         self
     }
 
-    /// Places one received chunk into a fresh old-generation input buffer.
-    /// Chunks must arrive in stream order (they do: links are FIFO).
+    /// Places one received chunk into a fresh old-generation input buffer
+    /// (streaming arrival). Chunks must arrive in stream order (they do:
+    /// links are FIFO).
     ///
     /// # Errors
     /// [`mheap::Error::OldGenFull`] (wrapped) when the heap cannot host the
     /// buffer; alignment errors for corrupt chunks.
     pub fn push_chunk(&mut self, bytes: &[u8]) -> Result<()> {
-        if !bytes.len().is_multiple_of(8) {
-            return Err(Error::BadFrame(format!("chunk length {} not 8-aligned", bytes.len())));
-        }
-        if bytes.is_empty() {
-            return Ok(());
-        }
-        let base = self.vm.heap_mut().alloc_raw_old(bytes.len() as u64).map_err(Error::Heap)?;
-        self.vm.heap().arena().write_bytes(base.0, bytes).map_err(Error::Heap)?;
-        self.core.note_chunk(base, bytes.len() as u64);
-        Ok(())
+        let Some(len) = AbsorbCore::buffer_len(bytes)? else { return Ok(()) };
+        let base = self.vm.heap_mut().alloc_raw_old(len).map_err(Error::Heap)?;
+        self.core.place(self.vm, base, bytes)
     }
 
     #[cfg(test)]
@@ -597,18 +618,22 @@ impl<'a> GraphReceiver<'a> {
         self.core.translate(logical)
     }
 
-    /// Completes the receive: absolutizes every chunk, drains the
-    /// cross-chunk fixup lists, then runs [`StreamIn::finish`]. Returns
-    /// the root objects in arrival order, plus statistics.
+    /// Absolutizes every chunk, drains the cross-chunk fixup lists, then
+    /// runs [`StreamIn::finish`] — the counterpart of draining
+    /// `readObject()` calls. Returns the root objects in arrival order,
+    /// plus statistics.
     ///
     /// The returned roots are *not yet GC roots*: callers must register
     /// them (handles) before any further allocation on this VM.
     ///
     /// # Errors
     /// Corrupt-stream and heap errors.
-    pub fn finish(mut self, hooks: Option<&UpdateRegistry>) -> Result<(Vec<Addr>, ReceiveStats)> {
+    pub fn read_objects(
+        mut self,
+        hooks: Option<&UpdateRegistry>,
+    ) -> Result<(Vec<Addr>, ReceiveStats)> {
         let stream = self.core.finish_stream(self.vm, hooks)?;
-        stream.finish(self.vm, hooks, &self.core.metrics.registry, self.core.trace_ctx)
+        stream.finish(self.vm, hooks, &self.core.registry, self.core.trace_ctx)
     }
 }
 
@@ -618,8 +643,8 @@ impl<'a> GraphReceiver<'a> {
 /// object format is checked, the old generation makes room for the blob,
 /// and each lane (expanded first when compressed) is absorbed and finished
 /// under the sender's trace context, its roots landing where its root
-/// table says. As for [`GraphReceiver::finish`], the roots are *not yet GC
-/// roots*.
+/// table says. As for [`SkywayObjectInputStream::read_objects`], the roots
+/// are *not yet GC roots*.
 ///
 /// # Errors
 /// [`Error::BadFrame`] and [`Error::SpecMismatch`] for a frame this VM
@@ -648,11 +673,11 @@ pub fn receive_frame(
         } else {
             &lane.chunks
         };
-        let mut rx = GraphReceiver::new(vm, dir, node).with_trace(frame.header.trace);
+        let mut rx = SkywayObjectInputStream::new(vm, dir, node).with_trace(frame.header.trace);
         for c in chunks {
             rx.push_chunk(c)?;
         }
-        let (roots, _) = rx.finish(hooks)?;
+        let (roots, _) = rx.read_objects(hooks)?;
         let (got, listed) = (roots.len(), lane.roots.len());
         if got != listed {
             return Err(Error::BadFrame(format!("lane carried {got} roots, its table {listed}")));
@@ -713,23 +738,22 @@ impl StreamIn {
 }
 
 /// One lane's absorber in an engine transfer: the same scan as
-/// [`GraphReceiver`] but over a shared `&Vm`, chunk by chunk as they
-/// arrive, allocating input buffers through the heap's shared
+/// [`SkywayObjectInputStream`] but over a shared `&Vm`, chunk by chunk as
+/// they arrive, allocating input buffers through the heap's shared
 /// old-generation window ([`mheap::Heap::begin_shared_old_alloc`] must be
 /// open). Heap-mutating finish work (card batch, hooks) is returned as a
-/// [`StreamIn`] for the coordinator instead of being applied here.
+/// [`StreamIn`] for the coordinator instead of being applied here. Dropped
+/// before [`StreamAbsorber::finish_stream`] succeeds, it rolls its stream
+/// back, inside the window.
+#[derive(Debug)]
 pub struct StreamAbsorber<'a> {
     vm: &'a Vm,
     core: AbsorbCore<'a>,
 }
 
-impl<'a> std::fmt::Debug for StreamAbsorber<'a> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("StreamAbsorber")
-            .field("node", &self.core.node)
-            .field("chunks", &self.core.chunks.len())
-            .field("bytes", &self.core.next_logical)
-            .finish()
+impl Drop for StreamAbsorber<'_> {
+    fn drop(&mut self) {
+        self.core.roll_back(self.vm);
     }
 }
 
@@ -742,7 +766,7 @@ impl<'a> StreamAbsorber<'a> {
     /// Reports into `registry` instead of the process-wide default.
     #[must_use]
     pub fn with_metrics(mut self, registry: Arc<obs::Registry>) -> Self {
-        self.core.metrics = ReceiverMetrics::new(registry);
+        self.core.registry = registry;
         self
     }
 
@@ -762,16 +786,9 @@ impl<'a> StreamAbsorber<'a> {
     /// [`mheap::Error::OldGenFull`] (wrapped) when the heap cannot host
     /// the buffer; alignment errors for corrupt chunks.
     pub fn push_chunk(&mut self, bytes: &[u8]) -> Result<()> {
-        if !bytes.len().is_multiple_of(8) {
-            return Err(Error::BadFrame(format!("chunk length {} not 8-aligned", bytes.len())));
-        }
-        if bytes.is_empty() {
-            return Ok(());
-        }
-        let base = self.vm.heap().shared_alloc_raw_old(bytes.len() as u64).map_err(Error::Heap)?;
-        self.vm.heap().arena().write_bytes(base.0, bytes).map_err(Error::Heap)?;
-        self.core.note_chunk(base, bytes.len() as u64);
-        Ok(())
+        let Some(len) = AbsorbCore::buffer_len(bytes)? else { return Ok(()) };
+        let base = self.vm.heap().shared_alloc_raw_old(len).map_err(Error::Heap)?;
+        self.core.place(self.vm, base, bytes)
     }
 
     /// Absolutizes every chunk placed so far but not yet absorbed, so
@@ -809,7 +826,7 @@ mod tests {
     #[test]
     fn translate_empty_chunk_list_is_dangling() {
         let (mut vm, dir) = env();
-        let r = GraphReceiver::new(&mut vm, &dir, NodeId(0));
+        let r = SkywayObjectInputStream::new(&mut vm, &dir, NodeId(0));
         assert!(matches!(r.translate(0), Err(Error::DanglingRelativeAddr(0))));
         assert!(matches!(r.translate(64), Err(Error::DanglingRelativeAddr(64))));
     }
@@ -817,7 +834,7 @@ mod tests {
     #[test]
     fn translate_past_the_end_is_dangling() {
         let (mut vm, dir) = env();
-        let mut r = GraphReceiver::new(&mut vm, &dir, NodeId(0));
+        let mut r = SkywayObjectInputStream::new(&mut vm, &dir, NodeId(0));
         r.push_chunk(&[0u8; 32]).unwrap();
         r.push_chunk(&[0u8; 16]).unwrap();
         // In-range logicals resolve, and stay contiguous across chunks.

@@ -18,6 +18,11 @@
 //! for Threads"). Heterogeneous clusters are handled here too: if the
 //! receiver's object format differs, the clone is written *in the
 //! receiver's format*, so only the sender pays (§3.1).
+//!
+//! Every threaded send — each lane of an engine transfer and each lane of
+//! the serializer — runs one body, `StealSet::send_lane`: claim roots by
+//! work stealing, open the lane's stream with its first root, hand each
+//! flushed chunk to the caller's sink, finish.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -111,8 +116,6 @@ impl SendStats {
 /// A finished per-destination stream: chunks plus statistics.
 #[derive(Debug)]
 pub struct StreamOut {
-    /// Stream id (thread id within the shuffle phase).
-    pub stream: u16,
     /// Flushed chunks in order.
     pub chunks: Vec<Vec<u8>>,
     /// Composition statistics.
@@ -148,31 +151,6 @@ impl KlassFacts {
 /// One discovered object awaiting its clone: heap address, assigned
 /// logical address, receiver-format size and klass facts.
 type Gray = (Addr, u64, u64, KlassFacts);
-
-/// Cached observability handles for the sender hot loop: resolved once at
-/// construction so per-object updates are single relaxed atomics.
-#[derive(Debug)]
-struct SenderMetrics {
-    registry: Arc<obs::Registry>,
-    objects: Arc<obs::Counter>,
-    bytes_cloned: Arc<obs::Counter>,
-    cas_conflicts: Arc<obs::Counter>,
-    fallback_hits: Arc<obs::Counter>,
-    chunk_bytes: Arc<obs::Histogram>,
-}
-
-impl SenderMetrics {
-    fn new(registry: Arc<obs::Registry>) -> Self {
-        SenderMetrics {
-            objects: registry.counter(obs::names::SENDER_OBJECTS_VISITED),
-            bytes_cloned: registry.counter(obs::names::SENDER_BYTES_CLONED),
-            cas_conflicts: registry.counter(obs::names::SENDER_CAS_CONFLICTS),
-            fallback_hits: registry.counter(obs::names::SENDER_FALLBACK_HITS),
-            chunk_bytes: registry.histogram(obs::names::SENDER_CHUNK_BYTES),
-            registry,
-        }
-    }
-}
 
 /// Multiply-mix hasher for integer keys (fxhash-style). The visited
 /// fallback table sits on the traversal's hottest path — one lookup per
@@ -224,7 +202,10 @@ pub struct GraphSender<'a> {
     klass_facts: Vec<Option<KlassFacts>>,
     /// Reference-field offsets of every resolved klass, back to back.
     ref_offsets: Vec<u64>,
-    metrics: SenderMetrics,
+    /// The registry this stream reports into. The traversal counts into
+    /// `stats` only; [`GraphSender::finish`] adds them to the registry
+    /// once, so the hot loop touches no shared atomic.
+    registry: Arc<obs::Registry>,
     /// Trace context of the transfer this stream belongs to
     /// ([`obs::TraceCtx::NONE`] keeps every span inert).
     trace_ctx: obs::TraceCtx,
@@ -290,7 +271,7 @@ impl<'a> GraphSender<'a> {
             stats: SendStats::default(),
             klass_facts: Vec::new(),
             ref_offsets: Vec::new(),
-            metrics: SenderMetrics::new(Arc::clone(obs::global())),
+            registry: Arc::clone(obs::global()),
             trace_ctx: obs::TraceCtx::NONE,
             lane: 0,
             traverse: None,
@@ -301,7 +282,7 @@ impl<'a> GraphSender<'a> {
     /// (scoped registries keep test assertions exact).
     #[must_use]
     pub fn with_metrics(mut self, registry: Arc<obs::Registry>) -> Self {
-        self.metrics = SenderMetrics::new(registry);
+        self.registry = registry;
         self
     }
 
@@ -409,7 +390,6 @@ impl<'a> GraphSender<'a> {
                 // the thread-local table (or doesn't exist yet).
                 if let Some(&rel) = self.fallback.get(&obj.0) {
                     self.stats.fallback_hits += 1;
-                    self.metrics.fallback_hits.inc();
                     return Ok(Some(rel));
                 }
                 Ok(None)
@@ -437,7 +417,7 @@ impl<'a> GraphSender<'a> {
                 let old = arena.load_word_atomic(off).map_err(Error::Heap)?;
                 if baddr::sid_of(old) == self.sid {
                     // Another stream claimed it between lookup and claim.
-                    self.note_cas_conflict();
+                    self.stats.cas_conflicts += 1;
                     self.fallback.insert(obj.0, logical);
                     return Ok(());
                 }
@@ -445,20 +425,13 @@ impl<'a> GraphSender<'a> {
                 match arena.cas_word(off, old, new).map_err(Error::Heap)? {
                     Ok(_) => Ok(()),
                     Err(_) => {
-                        self.note_cas_conflict();
+                        self.stats.cas_conflicts += 1;
                         self.fallback.insert(obj.0, logical);
                         Ok(())
                     }
                 }
             }
         }
-    }
-
-    /// Records one lost `baddr` CAS race in the per-stream stats and the
-    /// registry counter.
-    fn note_cas_conflict(&mut self) {
-        self.stats.cas_conflicts += 1;
-        self.metrics.cas_conflicts.inc();
     }
 
     /// Object size *in the receiver's format* (facts precomputed).
@@ -498,7 +471,6 @@ impl<'a> GraphSender<'a> {
     fn clone_object(&mut self, (obj, logical, size, facts): Gray) -> Result<()> {
         self.out.place(logical, size)?;
         self.stats.objects += 1;
-        self.metrics.objects.inc();
         let sspec = self.vm.spec();
         let rspec = self.cfg.receiver_spec;
         let arena = self.vm.heap().arena();
@@ -603,7 +575,7 @@ impl<'a> GraphSender<'a> {
         }
         if self.traverse.is_none() {
             self.traverse = Some(TraverseBurst {
-                start_ns: self.metrics.registry.tracer().now_ns(),
+                start_ns: self.registry.tracer().now_ns(),
                 roots: 0,
                 objects_before: self.stats.objects,
                 bytes_before: self.out.total_bytes(),
@@ -621,7 +593,7 @@ impl<'a> GraphSender<'a> {
         let Some(b) = self.traverse.take() else {
             return;
         };
-        let tracer = self.metrics.registry.tracer();
+        let tracer = self.registry.tracer();
         let dur = tracer.now_ns().saturating_sub(b.start_ns);
         tracer.record_closed_on(
             obs::names::TRACE_SENDER_TRAVERSE,
@@ -659,21 +631,21 @@ impl<'a> GraphSender<'a> {
         Ok(())
     }
 
-    /// Completes the stream.
+    /// Completes the stream, adding its statistics to the registry.
     pub fn finish(mut self) -> StreamOut {
         self.close_traverse_burst();
         self.stats.total_bytes = self.out.total_bytes();
-        self.metrics.bytes_cloned.add(self.stats.total_bytes);
+        let reg = &self.registry;
+        reg.counter(obs::names::SENDER_OBJECTS_VISITED).add(self.stats.objects);
+        reg.counter(obs::names::SENDER_BYTES_CLONED).add(self.stats.total_bytes);
+        reg.counter(obs::names::SENDER_CAS_CONFLICTS).add(self.stats.cas_conflicts);
+        reg.counter(obs::names::SENDER_FALLBACK_HITS).add(self.stats.fallback_hits);
         let chunks = self.out.finish();
+        let sizes = reg.histogram(obs::names::SENDER_CHUNK_BYTES);
         for c in &chunks {
-            self.metrics.chunk_bytes.record(c.len() as u64);
+            sizes.record(c.len() as u64);
         }
-        StreamOut { stream: self.stream, chunks, stats: self.stats }
-    }
-
-    /// Bytes produced so far (streaming diagnostics).
-    pub fn bytes_so_far(&self) -> u64 {
-        self.out.total_bytes()
+        StreamOut { chunks, stats: self.stats }
     }
 
     /// Upper-bound estimate of the wire bytes `roots` will produce, or
@@ -721,9 +693,10 @@ impl<'a> GraphSender<'a> {
         if !chunks.is_empty() {
             // A chunk boundary ends the current traverse burst.
             self.close_traverse_burst();
-        }
-        for c in &chunks {
-            self.metrics.chunk_bytes.record(c.len() as u64);
+            let sizes = self.registry.histogram(obs::names::SENDER_CHUNK_BYTES);
+            for c in &chunks {
+                sizes.record(c.len() as u64);
+            }
         }
         chunks
     }
@@ -736,7 +709,7 @@ impl<'a> GraphSender<'a> {
     /// The registry this sender reports into (carriers emit their
     /// chunk-send spans through the same tracer).
     pub(crate) fn registry(&self) -> &Arc<obs::Registry> {
-        &self.metrics.registry
+        &self.registry
     }
 
     /// The sending VM's node name (span labeling).
@@ -747,7 +720,7 @@ impl<'a> GraphSender<'a> {
     /// Records one successful steal by this worker: a lane-attributed
     /// trace span annotated with the victim worker and batch size.
     pub(crate) fn note_steal(&self, victim: usize, batch: usize, dur_ns: u64) {
-        self.metrics.registry.tracer().record_closed_on(
+        self.registry.tracer().record_closed_on(
             obs::names::TRACE_SENDER_STEAL,
             self.trace_ctx,
             &self.vm.name,
@@ -757,6 +730,9 @@ impl<'a> GraphSender<'a> {
         );
     }
 }
+
+/// Default upper bound on roots moved per steal.
+pub(crate) const DEFAULT_STEAL_BATCH: usize = 32;
 
 /// Worker-count and stealing knobs for parallel traversal.
 #[derive(Debug, Clone, Copy)]
@@ -777,7 +753,7 @@ impl Default for ParallelConfig {
     fn default() -> Self {
         ParallelConfig {
             workers: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-            steal_batch: 32,
+            steal_batch: DEFAULT_STEAL_BATCH,
             min_roots_per_worker: 8,
         }
     }
@@ -789,6 +765,18 @@ impl ParallelConfig {
     pub fn with_workers(workers: usize) -> Self {
         ParallelConfig { workers: workers.max(1), ..ParallelConfig::default() }
     }
+}
+
+/// What one sender lane sent.
+#[derive(Debug)]
+pub(crate) struct LaneSent {
+    /// Its stream's statistics (zero when the lane opened no stream).
+    pub(crate) stats: SendStats,
+    /// The original index of every root the lane emitted, in emission
+    /// order: the receiver's reassembly table.
+    pub(crate) order: Vec<u32>,
+    /// The lane thread's CPU time from lane start to stream finish.
+    pub(crate) produce_raw_ns: u64,
 }
 
 /// Shared work-stealing root queues for one parallel traversal: one deque
@@ -822,12 +810,59 @@ impl StealSet {
         StealSet { queues, steal_batch: steal_batch.max(1), steals: AtomicU64::new(0) }
     }
 
-    /// The claim loop every work-stealing sender runs: the next
-    /// `(original index, root)` for worker `me` — from its own queue
-    /// first, else after stealing a batch from a victim — or `None` once
-    /// every queue is empty, which ends the worker. A steal is recorded
-    /// on `sender`'s lane once the worker has opened its stream.
-    pub(crate) fn next(&self, me: usize, sender: Option<&GraphSender<'_>>) -> Option<(u32, Addr)> {
+    /// The body of sender lane `t`, the one every threaded send runs
+    /// (§4.2 "Support for Threads"). The lane claims roots through
+    /// [`StealSet::next`] and opens its stream with its first root, as
+    /// stream `stream_base + t` through `open` — so a lane whose roots
+    /// were all stolen away sends nothing. Every chunk that flushes goes
+    /// to `sink` with the lane's thread CPU time so far, read at chunk
+    /// boundaries only; the finished stream's tail follows. A `sink` that
+    /// returns `false` has lost its consumer, and the lane stops quietly.
+    ///
+    /// # Errors
+    /// Errors from `open` and from the traversal.
+    pub(crate) fn send_lane<'v>(
+        &self,
+        t: usize,
+        stream_base: u16,
+        mut open: impl FnMut(u16) -> Result<GraphSender<'v>>,
+        mut sink: impl FnMut(Vec<Vec<u8>>, u64) -> bool,
+    ) -> Result<LaneSent> {
+        let lane0 = obs::thread_cpu_ns();
+        let mut gs: Option<GraphSender<'v>> = None;
+        let mut order = Vec::new();
+        let mut live = true;
+        while let Some((idx, root)) = self.next(t, gs.as_ref()) {
+            let s = match &mut gs {
+                Some(s) => s,
+                none => {
+                    none.insert(open(stream_base.wrapping_add(t as u16))?.with_lane(t as u32 + 1))
+                }
+            };
+            s.write_root(root)?;
+            order.push(idx);
+            let chunks = s.take_ready_chunks();
+            if !chunks.is_empty() && !sink(chunks, obs::thread_cpu_ns().saturating_sub(lane0)) {
+                live = false;
+                break;
+            }
+        }
+        let Some(s) = gs else {
+            return Ok(LaneSent { stats: SendStats::default(), order, produce_raw_ns: 0 });
+        };
+        let out = s.finish();
+        let produce_raw_ns = obs::thread_cpu_ns().saturating_sub(lane0);
+        if live {
+            sink(out.chunks, produce_raw_ns);
+        }
+        Ok(LaneSent { stats: out.stats, order, produce_raw_ns })
+    }
+
+    /// The next `(original index, root)` for worker `me` — from its own
+    /// queue first, else after stealing a batch from a victim — or `None`
+    /// once every queue is empty, which ends the worker. A steal is
+    /// recorded on `sender`'s lane once the worker has opened its stream.
+    fn next(&self, me: usize, sender: Option<&GraphSender<'_>>) -> Option<(u32, Addr)> {
         loop {
             if let Some(item) = self.queues[me].lock().pop_front() {
                 return Some(item);
@@ -871,86 +906,4 @@ impl StealSet {
     pub(crate) fn steals(&self) -> u64 {
         self.steals.load(Ordering::Relaxed)
     }
-}
-
-/// Result of a work-stealing parallel send: the non-empty streams, the
-/// original root index of every emitted root (per stream, in emission
-/// order — the receiver's reassembly table), and the steal count.
-#[derive(Debug)]
-pub struct ParallelSend {
-    /// Finished streams (workers that never claimed a root produce none).
-    pub streams: Vec<StreamOut>,
-    /// `root_order[i][j]` = original index in `roots` of the `j`-th root
-    /// emitted by `streams[i]`.
-    pub root_order: Vec<Vec<u32>>,
-    /// Successful inter-worker steals during the traversal.
-    pub steals: u64,
-}
-
-/// Sends `roots` using work-stealing parallel streams over one shared heap
-/// (§4.2 "Support for Threads"): roots start as contiguous per-worker
-/// blocks, idle workers steal from victims, each worker claims objects via
-/// CAS on `baddr`, and objects reached by several workers are duplicated
-/// per stream. Worker `t` sends as stream `stream_base + t`; workers that
-/// end up with zero roots (all stolen away, or more workers than roots)
-/// exit without allocating a stream.
-///
-/// # Errors
-/// Propagates the first sender error from any worker.
-#[allow(clippy::too_many_arguments)]
-pub fn send_roots_parallel(
-    vm: &Vm,
-    dir: &TypeDirectory,
-    node: NodeId,
-    sid: u8,
-    stream_base: u16,
-    roots: &[Addr],
-    par: &ParallelConfig,
-    cfg: SendConfig,
-) -> Result<ParallelSend> {
-    let workers = par.workers.max(1);
-    // A worker's output: its finished stream plus the original root
-    // indices it emitted, or `None` when every root was stolen away.
-    type WorkerStream = Option<(StreamOut, Vec<u32>)>;
-    let steal_set = StealSet::new(roots, workers, par.steal_batch);
-    let results: Vec<Result<WorkerStream>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|t| {
-                let steal_set = &steal_set;
-                scope.spawn(move || -> Result<WorkerStream> {
-                    let mut sender: Option<GraphSender<'_>> = None;
-                    let mut order: Vec<u32> = Vec::new();
-                    while let Some((idx, root)) = steal_set.next(t, sender.as_ref()) {
-                        let s = match &mut sender {
-                            Some(s) => s,
-                            none => {
-                                let stream = stream_base.wrapping_add(t as u16);
-                                none.insert(
-                                    GraphSender::new(vm, dir, node, sid, stream, cfg)?
-                                        .with_lane(t as u32 + 1),
-                                )
-                            }
-                        };
-                        s.write_root(root)?;
-                        order.push(idx);
-                    }
-                    Ok(sender.map(|s| (s.finish(), order)))
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-            .collect()
-    });
-    let mut streams = Vec::new();
-    let mut root_order = Vec::new();
-    for r in results {
-        if let Some((st, ord)) = r? {
-            streams.push(st);
-            root_order.push(ord);
-        }
-    }
-    obs::global().counter(obs::names::SENDER_STEALS).add(steal_set.steals());
-    Ok(ParallelSend { streams, root_order, steals: steal_set.steals() })
 }

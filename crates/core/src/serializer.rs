@@ -4,12 +4,13 @@
 //!
 //! One adapter instance belongs to one node: it serializes outgoing data
 //! from that node's VM and deserializes incoming data into it. A blob is
-//! one wire frame ([`crate::buffer::Frame`]), the same one files carry: a
-//! single sender writes one lane whose root table is `0..n`, and
-//! [`SkywaySerializer::with_parallel_streams`] writes one lane per sender
-//! stream, its table naming the roots work stealing gave that stream.
-//! Receiving is [`crate::receiver::receive_frame`], shared with the file
-//! stream.
+//! one wire frame ([`crate::buffer::Frame`]), the same one files carry,
+//! with one frame lane per sender lane. Sending runs the engine's sender
+//! lane body ([`crate::sender`]) for every lane count: one lane on the
+//! calling thread, whose root table is `0..n`, or
+//! [`SkywaySerializer::with_parallel_streams`] lanes on scoped threads,
+//! each table naming the roots work stealing gave that lane. Receiving is
+//! [`crate::receiver::receive_frame`], shared with the file stream.
 
 use std::sync::Arc;
 
@@ -19,9 +20,7 @@ use simnet::{NodeId, Profile};
 use crate::buffer::{spec_flags, Frame, Header, Lane, FLAG_COMPRESSED};
 use crate::receiver::receive_frame;
 use crate::registry::TypeDirectory;
-use crate::sender::{
-    send_roots_parallel, GraphSender, ParallelConfig, SendConfig, SendStats, Tracking,
-};
+use crate::sender::{GraphSender, SendConfig, SendStats, StealSet, Tracking, DEFAULT_STEAL_BATCH};
 use crate::stream::{ShuffleController, UpdateRegistry};
 use crate::{Error, Result};
 
@@ -142,56 +141,57 @@ impl serlab::Serializer for SkywaySerializer {
         if self.compressed_wire {
             flags |= FLAG_COMPRESSED;
         }
-        let mut run = || -> Result<Vec<Lane<Vec<u8>>>> {
-            if self.parallel_streams > 1 {
-                let par = ParallelConfig::with_workers(self.parallel_streams);
-                let stream_base = self.controller.next_stream_block(par.workers as u16);
-                let send = send_roots_parallel(
-                    vm,
-                    &self.dir,
-                    self.node,
-                    self.controller.sid(),
-                    stream_base,
-                    roots,
-                    &par,
-                    self.send_config(),
-                )?;
-                let mut merged = SendStats::default();
-                for st in &send.streams {
-                    profile.objects_transferred += st.stats.objects;
-                    merged.merge(&st.stats);
-                }
-                *self.last_send_stats.lock() = merged;
-                // One lane per stream, each with its root-index table:
-                // work stealing makes the assignment dynamic, so the wire
-                // must say which roots a stream carries.
-                return Ok(send
-                    .streams
-                    .into_iter()
-                    .zip(send.root_order)
-                    .map(|(st, roots)| Lane { roots, chunks: st.chunks })
-                    .collect());
-            }
-            let mut sender = GraphSender::new(
-                vm,
-                &self.dir,
-                self.node,
-                self.controller.sid(),
-                self.controller.next_stream(),
-                self.send_config(),
-            )?;
-            for &root in roots {
-                sender.write_root(root)?;
-            }
-            let out = sender.finish();
-            profile.objects_transferred += out.stats.objects;
-            // Note what is conspicuously absent: no per-object S/D function
-            // invocations are counted, because none happen.
-            *self.last_send_stats.lock() = out.stats;
-            Ok(vec![Lane { roots: (0..roots.len() as u32).collect(), chunks: out.chunks }])
+        let vm: &Vm = vm;
+        let lanes = self.parallel_streams;
+        let (sid, stream_base) =
+            (self.controller.sid(), self.controller.next_stream_block(lanes as u16));
+        let steal_set = StealSet::new(roots, lanes, DEFAULT_STEAL_BATCH);
+        // One frame lane per stream, with its root-index table: work
+        // stealing makes the assignment dynamic, so the wire must say which
+        // roots a stream carries.
+        let send = |t: usize| -> Result<(Lane<Vec<u8>>, SendStats)> {
+            let open = |stream| {
+                GraphSender::new(vm, &self.dir, self.node, sid, stream, self.send_config())
+            };
+            let mut chunks = Vec::new();
+            let sink = |c: Vec<Vec<u8>>, _| {
+                chunks.extend(c);
+                true
+            };
+            let sent = steal_set.send_lane(t, stream_base, open, sink)?;
+            Ok((Lane { roots: sent.order, chunks }, sent.stats))
         };
-        let lanes = run().map_err(to_serlab)?;
-        Ok(Frame { header: Header { flags, trace: obs::TraceCtx::NONE }, lanes }.encode())
+        // One lane runs on the calling thread, more on a scoped thread each.
+        let sent: Vec<Result<_>> = if lanes == 1 {
+            vec![send(0)]
+        } else {
+            let send = &send;
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..lanes).map(|t| scope.spawn(move || send(t))).collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+                    .collect()
+            })
+        };
+        let mut stats = SendStats::default();
+        let mut frame_lanes = Vec::with_capacity(lanes);
+        for r in sent {
+            let (lane, lane_stats) = r.map_err(to_serlab)?;
+            // A lane whose roots were all stolen sent nothing and is left
+            // out; a one-lane send writes its lane even with no roots.
+            if lanes == 1 || !lane.roots.is_empty() {
+                frame_lanes.push(lane);
+            }
+            stats.merge(&lane_stats);
+        }
+        obs::global().counter(obs::names::SENDER_STEALS).add(steal_set.steals());
+        // Note what is conspicuously absent: no per-object S/D function
+        // invocations are counted, because none happen.
+        profile.objects_transferred += stats.objects;
+        *self.last_send_stats.lock() = stats;
+        let header = Header { flags, trace: obs::TraceCtx::NONE };
+        Ok(Frame { header, lanes: frame_lanes }.encode())
     }
 
     fn deserialize(

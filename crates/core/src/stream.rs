@@ -1,7 +1,9 @@
-//! The Skyway library API (paper §3.3): stream classes compatible with the
-//! standard serializer interface, shuffle-phase management
+//! The Skyway library API (paper §3.3): the output stream class compatible
+//! with the standard serializer interface, shuffle-phase management
 //! (`shuffleStart`), and post-transfer field-update hooks
-//! (`registerUpdate`).
+//! (`registerUpdate`). Its input counterpart,
+//! [`crate::receiver::SkywayObjectInputStream`], lives with the receiver
+//! it fronts.
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
@@ -10,7 +12,6 @@ use mheap::Vm;
 use parking_lot::RwLock;
 use simnet::NodeId;
 
-use crate::receiver::{GraphReceiver, ReceiveStats};
 use crate::registry::TypeDirectory;
 use crate::sender::{GraphSender, SendConfig, StreamOut};
 use crate::{Error, Result};
@@ -190,17 +191,9 @@ impl UpdateRegistry {
 /// The analogue of `SkywayObjectOutputStream`: `write_object(root)` calls
 /// transfer whole object graphs; `finish()` yields the stream chunks for
 /// whatever carrier (file, socket) the caller wraps this in.
+#[derive(Debug)]
 pub struct SkywayObjectOutputStream<'a> {
     sender: GraphSender<'a>,
-    roots_written: usize,
-}
-
-impl<'a> std::fmt::Debug for SkywayObjectOutputStream<'a> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SkywayObjectOutputStream")
-            .field("roots_written", &self.roots_written)
-            .finish()
-    }
 }
 
 impl<'a> SkywayObjectOutputStream<'a> {
@@ -218,7 +211,7 @@ impl<'a> SkywayObjectOutputStream<'a> {
     ) -> Result<Self> {
         let sender =
             GraphSender::new(vm, dir, node, controller.sid(), controller.next_stream(), cfg)?;
-        Ok(SkywayObjectOutputStream { sender, roots_written: 0 })
+        Ok(SkywayObjectOutputStream { sender })
     }
 
     /// Reports into `registry` instead of the process-wide default.
@@ -243,71 +236,12 @@ impl<'a> SkywayObjectOutputStream<'a> {
     /// # Errors
     /// Heap/registry errors.
     pub fn write_object(&mut self, root: Addr) -> Result<()> {
-        self.sender.write_root(root)?;
-        self.roots_written += 1;
-        Ok(())
-    }
-
-    /// Number of `write_object` calls so far.
-    pub fn roots_written(&self) -> usize {
-        self.roots_written
+        self.sender.write_root(root)
     }
 
     /// Closes the stream, returning its chunks and statistics.
     pub fn finish(self) -> StreamOut {
         self.sender.finish()
-    }
-}
-
-/// The analogue of `SkywayObjectInputStream`: feed it the received chunks,
-/// then `read_objects()` absolutizes the input buffers and returns the
-/// roots.
-pub struct SkywayObjectInputStream<'a> {
-    receiver: GraphReceiver<'a>,
-}
-
-impl<'a> std::fmt::Debug for SkywayObjectInputStream<'a> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SkywayObjectInputStream").finish()
-    }
-}
-
-impl<'a> SkywayObjectInputStream<'a> {
-    /// Opens an input stream into `vm`.
-    pub fn new(vm: &'a mut Vm, dir: &'a TypeDirectory, node: NodeId) -> Self {
-        SkywayObjectInputStream { receiver: GraphReceiver::new(vm, dir, node) }
-    }
-
-    /// Reports into `registry` instead of the process-wide default.
-    #[must_use]
-    pub fn with_metrics(mut self, registry: std::sync::Arc<obs::Registry>) -> Self {
-        self.receiver = self.receiver.with_metrics(registry);
-        self
-    }
-
-    /// Re-attaches a transfer trace context on the receiving side (wire
-    /// carriers do this automatically from the frame header).
-    #[must_use]
-    pub fn with_trace(mut self, ctx: obs::TraceCtx) -> Self {
-        self.receiver = self.receiver.with_trace(ctx);
-        self
-    }
-
-    /// Appends one received chunk (streaming arrival).
-    ///
-    /// # Errors
-    /// Heap errors (old generation full) and corrupt-chunk errors.
-    pub fn push_chunk(&mut self, bytes: &[u8]) -> Result<()> {
-        self.receiver.push_chunk(bytes)
-    }
-
-    /// Absolutizes and returns the transferred roots. The counterpart of
-    /// draining `readObject()` calls.
-    ///
-    /// # Errors
-    /// Corrupt-stream errors.
-    pub fn read_objects(self, hooks: Option<&UpdateRegistry>) -> Result<(Vec<Addr>, ReceiveStats)> {
-        self.receiver.finish(hooks)
     }
 }
 

@@ -145,7 +145,9 @@ fn transfer_env() -> (Arc<TypeDirectory>, Vm, Vm) {
 /// (so two lanes put flips in lane headers and root tables too), and
 /// deserializes it: corruption must never panic, and a stream the receiver
 /// accepts (flips that only hit primitive payload or dead padding) must
-/// leave a heap `verify_heap` finds clean.
+/// leave a heap `verify_heap` finds clean. A stream it rejects must leave
+/// no residue: the heap verifies clean, a minor GC succeeds, and the
+/// intact stream then round-trips.
 fn corrupted_stream_case(spec: &GraphSpec, lanes: usize, flips: &[(u16, u8)]) -> TestCaseResult {
     let (dir, mut sender, mut receiver) = transfer_env();
     let handles = build(&mut sender, spec);
@@ -165,7 +167,8 @@ fn corrupted_stream_case(spec: &GraphSpec, lanes: usize, flips: &[(u16, u8)]) ->
         LayoutSpec::SKYWAY,
     );
     let mut p = Profile::new();
-    let mut bytes = sky_tx.serialize(&mut sender, &roots, &mut p).unwrap();
+    let intact = sky_tx.serialize(&mut sender, &roots, &mut p).unwrap();
+    let mut bytes = intact.clone();
     for (pos, val) in flips {
         let i = *pos as usize % bytes.len();
         bytes[i] ^= *val | 1;
@@ -173,6 +176,15 @@ fn corrupted_stream_case(spec: &GraphSpec, lanes: usize, flips: &[(u16, u8)]) ->
     if sky_rx.deserialize(&mut receiver, &bytes, &mut p).is_ok() {
         let faults = receiver.verify_heap().unwrap();
         prop_assert!(faults.is_empty(), "accepted a stream that corrupts the heap: {faults:?}");
+        return Ok(());
+    }
+    let faults = receiver.verify_heap().unwrap();
+    prop_assert!(faults.is_empty(), "a rejected stream left residue: {faults:?}");
+    prop_assert!(receiver.minor_gc().is_ok(), "minor GC failed after a rejected stream");
+    let rebuilt = sky_rx.deserialize(&mut receiver, &intact, &mut p).unwrap();
+    prop_assert_eq!(rebuilt.len(), roots.len());
+    for (&orig, &got) in roots.iter().zip(&rebuilt) {
+        prop_assert_eq!(canonicalize(&sender, orig), canonicalize(&receiver, got));
     }
     Ok(())
 }

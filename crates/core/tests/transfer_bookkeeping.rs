@@ -12,8 +12,8 @@ use mheap::{Addr, ClassPath, Handle, HeapConfig, KlassKind, Vm};
 use simnet::NodeId;
 use skyway::buffer::TOP_MARK;
 use skyway::{
-    sequential_transfer, Error, GraphReceiver, GraphSender, ParallelConfig, PipelineConfig,
-    PipelineEngine, PipelineReport, SendConfig, TransferMode, TypeDirectory,
+    sequential_transfer, Error, GraphSender, ParallelConfig, PipelineConfig, PipelineEngine,
+    PipelineReport, SendConfig, SkywayObjectInputStream, TransferMode, TypeDirectory,
 };
 
 fn vm(name: &str, cp: &Arc<ClassPath>) -> Vm {
@@ -272,8 +272,8 @@ fn never_issued_tid_is_a_typed_error() {
     chunk[at..at + 8].copy_from_slice(&0xFFFF_FFF0u64.to_le_bytes());
 
     let mut receiver = vm("r", &cp);
-    let mut gr = GraphReceiver::new(&mut receiver, &dir, NodeId(1));
+    let mut gr = SkywayObjectInputStream::new(&mut receiver, &dir, NodeId(1));
     gr.push_chunk(chunk).unwrap();
-    let err = gr.finish(None).unwrap_err();
+    let err = gr.read_objects(None).unwrap_err();
     assert!(matches!(err, Error::UnknownTypeId(0xFFFF_FFF0)), "got {err:?}");
 }

@@ -10,7 +10,7 @@ use serlab::Serializer;
 use simnet::{Cluster, NodeId, Profile, SimConfig};
 use skyway::buffer::{Frame, Header, Lane, FLAG_COMPRESSED};
 use skyway::{
-    scrub_baddrs, send_roots_parallel, ParallelConfig, SendConfig, ShuffleController,
+    scrub_baddrs, ParallelConfig, PipelineConfig, PipelineEngine, SendConfig, ShuffleController,
     SkywayFileInputStream, SkywayObjectInputStream, SkywayObjectOutputStream, SkywaySerializer,
     SkywaySocketInputStream, SkywaySocketOutputStream, Tracking, TypeDirectory, UpdateRegistry,
 };
@@ -239,39 +239,25 @@ fn parallel_send_with_shared_objects() {
         pair_handles.push(sender.handle(pr));
     }
     let roots: Vec<Addr> = pair_handles.iter().map(|h| sender.resolve(*h).unwrap()).collect();
-    let par = ParallelConfig::with_workers(4);
-    let sent = send_roots_parallel(
-        &sender,
-        &dir,
-        NodeId(0),
-        7,
-        100,
-        &roots,
-        &par,
-        SendConfig::for_vm(&sender),
-    )
-    .unwrap();
-    // Work stealing means the 64 roots may end up on fewer than 4 workers
-    // (a fast worker can drain its victims), but never more.
-    assert!(!sent.streams.is_empty() && sent.streams.len() <= 4);
-    assert_eq!(sent.streams.len(), sent.root_order.len());
-    assert_eq!(sent.root_order.iter().map(Vec::len).sum::<usize>(), 64);
+    let mut p = Profile::new();
+    let bytes = skyway_for(&dir, 0)
+        .with_parallel_streams(4)
+        .serialize(&mut sender, &roots, &mut p)
+        .unwrap();
+    // Work stealing means the 64 roots may end up on fewer than 4 lanes
+    // (a fast lane can drain its victims), but never more.
+    let frame = Frame::parse(&bytes).unwrap();
+    assert!(!frame.lanes.is_empty() && frame.lanes.len() <= 4);
+    assert_eq!(frame.lanes.iter().map(|l| l.roots.len()).sum::<usize>(), 64);
 
-    // Each stream is independent; receive them all.
-    let mut total_roots = 0;
-    for st in &sent.streams {
-        let mut input = SkywayObjectInputStream::new(&mut receiver, &dir, NodeId(1));
-        for c in &st.chunks {
-            input.push_chunk(c).unwrap();
-        }
-        let (roots, _) = input.read_objects(None).unwrap();
-        for &r in &roots {
-            let first = receiver.get_ref(r, "first").unwrap();
-            assert_eq!(receiver.read_string(first).unwrap(), "contended");
-        }
-        total_roots += roots.len();
+    // Each lane is an independent stream; receive them all.
+    let got = skyway_for(&dir, 1).deserialize(&mut receiver, &bytes, &mut p).unwrap();
+    assert_eq!(got.len(), 64);
+    for &r in &got {
+        let first = receiver.get_ref(r, "first").unwrap();
+        assert_eq!(receiver.read_string(first).unwrap(), "contended");
     }
-    assert_eq!(total_roots, 64);
+    assert_eq!(receiver.verify_heap().unwrap(), vec![]);
 }
 
 #[test]
@@ -657,6 +643,40 @@ fn repeated_receives_reclaim_dead_input_buffers() {
     }
     assert!(receiver.stats.full_gcs > 0);
     assert!(receiver.verify_heap().unwrap().is_empty());
+}
+
+#[test]
+fn engine_transfer_that_runs_out_of_room_leaves_no_residue() {
+    // Each lane has placed and partly absorbed chunks, with forward
+    // references still relative, when the old generation runs out.
+    let (dir, mut sender, _) = setup_pair();
+    let mut handles = Vec::new();
+    for i in 0..4000 {
+        let s = sender.new_string(&format!("pair {i}")).unwrap();
+        let pr = sender.new_pair(s, Addr::NULL).unwrap();
+        handles.push(sender.handle(pr));
+    }
+    let roots: Vec<Addr> = handles.iter().map(|h| sender.resolve(*h).unwrap()).collect();
+    for (stream, parallel) in [
+        (1, None),
+        (2, Some(ParallelConfig { workers: 2, min_roots_per_worker: 1, ..Default::default() })),
+    ] {
+        let engine = PipelineEngine::new(PipelineConfig {
+            chunk_limit: 4096,
+            parallel,
+            ..PipelineConfig::default()
+        });
+        let mut receiver =
+            Vm::new("n1", &HeapConfig::default().with_capacity(256 << 10), classpath()).unwrap();
+        let err = engine
+            .transfer(&sender, &mut receiver, &dir, NodeId(0), NodeId(1), 1, stream, &roots, None)
+            .unwrap_err();
+        assert!(
+            matches!(err, skyway::Error::Heap(mheap::Error::OldGenFull { .. })),
+            "{parallel:?}: {err:?}"
+        );
+        assert_eq!(receiver.verify_heap().unwrap(), vec![], "{parallel:?}");
+    }
 }
 
 #[test]

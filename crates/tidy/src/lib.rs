@@ -389,6 +389,37 @@ pub fn run(cfg: &Config) -> Result<Report, String> {
     Ok(Report { violations: out, files_checked: files.len() })
 }
 
+/// Lines of `text` outside `#[cfg(test)]` / `#[test]` items, comments and
+/// blank lines included (a final newline ends the last line; it does not
+/// start another).
+pub fn non_test_lines(text: &str) -> usize {
+    lexer::lex(text).iter().take(text.lines().count()).filter(|l| !l.in_test).count()
+}
+
+/// [`non_test_lines`] of every `.rs` file under `crates/*/src` of the
+/// workspace at `root`, keyed by `/`-separated path relative to `root`.
+///
+/// # Errors
+/// I/O failures reading the tree.
+pub fn loc(root: &Path) -> Result<BTreeMap<String, usize>, String> {
+    let crates = root.join("crates");
+    let mut paths = Vec::new();
+    for entry in fs::read_dir(&crates).map_err(|e| format!("reading {}: {e}", crates.display()))? {
+        let src =
+            entry.map_err(|e| format!("reading {}: {e}", crates.display()))?.path().join("src");
+        if src.is_dir() {
+            collect_rs(&src, &mut paths)?;
+        }
+    }
+    let mut out = BTreeMap::new();
+    for p in paths {
+        let text = fs::read_to_string(&p).map_err(|e| format!("reading {}: {e}", p.display()))?;
+        let rel = p.strip_prefix(root).unwrap_or(&p).to_string_lossy().replace('\\', "/");
+        out.insert(rel, non_test_lines(&text));
+    }
+    Ok(out)
+}
+
 fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
     let entries = fs::read_dir(dir).map_err(|e| format!("reading {}: {e}", dir.display()))?;
     for entry in entries {
@@ -454,6 +485,17 @@ mod tests {
 
     fn file_of(src: &str) -> SourceFile {
         SourceFile { rel: "x.rs".into(), lines: lexer::lex(src) }
+    }
+
+    #[test]
+    fn non_test_lines_skip_test_items_only() {
+        // Doc comment, blank line and code count; the four lines of the
+        // test module do not; the final newline adds no line.
+        let src =
+            "//! doc\n\nfn prod() {}\n#[cfg(test)]\nmod tests {\n    fn t() {}\n}\nfn after() {}\n";
+        assert_eq!(non_test_lines(src), 4);
+        assert_eq!(non_test_lines("fn a() {}"), 1);
+        assert_eq!(non_test_lines(""), 0);
     }
 
     #[test]

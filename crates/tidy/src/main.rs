@@ -5,12 +5,13 @@
 //! cargo run -p tidy -- --json            # machine output for CI
 //! cargo run -p tidy -- --sarif           # SARIF 2.1.0 for code-scanning upload
 //! cargo run -p tidy -- --fixture-matrix  # assert each fixture trips exactly its rule
+//! cargo run -p tidy -- --loc             # non-test lines per file under crates/*/src
 //! ```
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use tidy::{run, to_json, to_sarif, Config};
+use tidy::{loc, run, to_json, to_sarif, Config};
 
 #[derive(Clone, Copy, PartialEq)]
 enum Output {
@@ -22,6 +23,7 @@ enum Output {
 fn main() -> ExitCode {
     let mut output = Output::Text;
     let mut fixture_matrix = false;
+    let mut count_lines = false;
     let mut root: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -29,6 +31,7 @@ fn main() -> ExitCode {
             "--json" => output = Output::Json,
             "--sarif" => output = Output::Sarif,
             "--fixture-matrix" => fixture_matrix = true,
+            "--loc" => count_lines = true,
             "--root" => match args.next() {
                 Some(p) => root = Some(PathBuf::from(p)),
                 None => {
@@ -54,6 +57,22 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
+
+    if count_lines {
+        return match loc(&root) {
+            Ok(files) => {
+                for (file, lines) in &files {
+                    println!("{lines:>6} {file}");
+                }
+                println!("{:>6} total", files.values().sum::<usize>());
+                ExitCode::SUCCESS
+            }
+            Err(e) => {
+                eprintln!("skyway-tidy: {e}");
+                ExitCode::from(2)
+            }
+        };
+    }
 
     if fixture_matrix {
         return match run_fixture_matrix(&root) {
@@ -169,11 +188,12 @@ fn run_fixture_matrix(root: &Path) -> Result<String, String> {
 fn print_help() {
     println!("skyway-tidy: static-analysis gate for the Skyway workspace");
     println!();
-    println!("USAGE: skyway-tidy [--json | --sarif] [--fixture-matrix] [--root <path>]");
+    println!("USAGE: skyway-tidy [--json | --sarif] [--fixture-matrix] [--loc] [--root <path>]");
     println!();
     println!("  --json            emit machine-readable JSON instead of text");
     println!("  --sarif           emit SARIF 2.1.0 for code-scanning upload");
     println!("  --fixture-matrix  assert each tests/fixtures/*.rs trips exactly its rule");
+    println!("  --loc             print non-test lines per file under crates/*/src, and a total");
     println!("  --root <path>     workspace root (default: walk up to [workspace])");
     println!();
     println!("RULES:");
